@@ -97,7 +97,7 @@ void BM_GbtFit(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * rows));
 }
-BENCHMARK(BM_GbtFit)->Arg(500)->Arg(2000);
+BENCHMARK(BM_GbtFit)->Arg(500)->Arg(2000)->Arg(8519);
 
 void BM_Syr2kEvaluate(benchmark::State& state) {
   const perf::Syr2kModel model;

@@ -30,6 +30,9 @@ void GradientBoostedTrees::fit(std::span<const double> x, std::size_t cols,
   LMPEEL_CHECK(rows > 0);
   LMPEEL_CHECK(params.n_estimators >= 0);
   LMPEEL_CHECK(params.learning_rate > 0.0);
+  // Binned before any state changes, so rejected features leave the model
+  // as it was.
+  const BinnedMatrix binned(x, cols);
 
   trees_.clear();
   train_mse_.clear();
@@ -41,7 +44,6 @@ void GradientBoostedTrees::fit(std::span<const double> x, std::size_t cols,
       std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(rows);
   base_set_ = true;
 
-  DataView view{x.data(), rows, cols};
   std::vector<double> prediction(rows, base_prediction_);
   std::vector<double> gradients(rows);
   const std::vector<double> hessians(rows, 1.0);
@@ -77,7 +79,7 @@ void GradientBoostedTrees::fit(std::span<const double> x, std::size_t cols,
     }
 
     RegressionTree tree;
-    tree.fit(view, gradients, hessians, tree_rows, tree_params, rng);
+    tree.fit(binned, gradients, hessians, tree_rows, tree_params, rng);
 
     double mse = 0.0;
     for (std::size_t i = 0; i < rows; ++i) {
