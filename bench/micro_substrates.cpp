@@ -1,9 +1,13 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// GBT training, syr2k model evaluation, dataset generation and haystack
-// enumeration.  These validate that the HPC-parallel substrate is fast
-// enough for the paper-scale sweeps and catch performance regressions.
+// GBT training, syr2k model evaluation, dataset generation, haystack
+// enumeration and the edit-distance neighbour order.  These validate that
+// the HPC-parallel substrate is fast enough for the paper-scale sweeps and
+// catch performance regressions.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
@@ -155,6 +159,28 @@ void BM_HaystackEnumeration(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * options.mc_samples));
 }
 BENCHMARK(BM_HaystackEnumeration)->Unit(benchmark::kMillisecond);
+
+void BM_EditDistanceOrder(benchmark::State& state) {
+  // The first n rows of the SM dataset, round-tripped through the CSV
+  // interchange (a Dataset is only built by generate or read_csv).
+  std::stringstream full, part;
+  shared_pipeline().dataset(perf::SizeClass::SM).write_csv(full);
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  std::string line;
+  for (std::size_t i = 0; i <= rows && std::getline(full, line); ++i) {
+    part << line << '\n';
+  }
+  const auto data = perf::Dataset::read_csv(part);
+  std::size_t centre = 0;
+  for (auto _ : state) {
+    const auto order = perf::edit_distance_order(data, centre);
+    benchmark::DoNotOptimize(order.data());
+    centre = (centre + 97) % data.size();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * data.size()));
+}
+BENCHMARK(BM_EditDistanceOrder)->Arg(8519);
 
 }  // namespace
 

@@ -45,18 +45,7 @@ std::uint64_t cell_stream(const SweepSettings& settings, perf::SizeClass size,
 /// centre itself); ties broken by index for determinism.
 std::vector<std::size_t> neighbor_order(const perf::Dataset& data,
                                         std::size_t centre) {
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  const perf::Syr2kConfig& centre_cfg = data[centre].config;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const int da = perf::ConfigSpace::edit_distance(
-                         data[a].config, centre_cfg);
-                     const int db = perf::ConfigSpace::edit_distance(
-                         data[b].config, centre_cfg);
-                     if (da != db) return da < db;
-                     return a < b;
-                   });
+  std::vector<std::size_t> order = perf::edit_distance_order(data, centre);
   // order[0] is the centre (distance zero) — drop it.
   order.erase(order.begin());
   return order;

@@ -7,10 +7,33 @@
 #include <unordered_map>
 
 #include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/str.hpp"
 
 namespace lmpeel::haystack {
+
+CumulativeTable::CumulativeTable(std::span<const double> weights) {
+  LMPEEL_CHECK(!weights.empty());
+  cdf_.reserve(weights.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    LMPEEL_CHECK_MSG(std::isfinite(weights[i]) && weights[i] >= 0.0,
+                     "categorical weight must be finite and >= 0");
+    if (weights[i] > 0.0) last_nonzero_ = i;
+    total += weights[i];
+    cdf_.push_back(total);
+  }
+  LMPEEL_CHECK_MSG(total > 0.0, "all categorical weights are zero");
+}
+
+std::size_t CumulativeTable::draw(util::Rng& rng) const {
+  // cdf_.back() is the same sequential sum Rng::categorical uses as its
+  // total, so r is bit-identical to the linear scan's starting point.
+  const double r = rng.uniform() * cdf_.back();
+  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), r);
+  // Rounding can leave r at the total; fall back as the scan does.
+  if (it == cdf_.end()) return last_nonzero_;
+  return static_cast<std::size_t>(it - cdf_.begin());
+}
 
 namespace {
 
@@ -83,6 +106,10 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
     StepCands sc;
     double total = 0.0;
     for (const lm::Candidate& c : trace.step(s).candidates) {
+      // A NaN would slip past the exact path's `w <= 0` skip and spread
+      // into every deposit; a negative one would be dropped silently.
+      LMPEEL_CHECK_MSG(std::isfinite(c.prob) && c.prob >= 0.0f,
+                       "candidate probability must be finite and >= 0");
       sc.cands.push_back(&c);
       total += c.prob;
     }
@@ -128,6 +155,9 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
     };
     dfs(0, 1.0);
   } else {
+    std::vector<CumulativeTable> tables;
+    tables.reserve(steps.size());
+    for (const StepCands& sc : steps) tables.emplace_back(sc.probs);
     util::Rng rng(options.seed, 0x4a57);
     const double sample_weight =
         1.0 / static_cast<double>(options.mc_samples);
@@ -135,9 +165,7 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
       std::string text;
       bool terminated = false;
       for (std::size_t s = 0; s < steps.size() && !terminated; ++s) {
-        const std::size_t c =
-            rng.categorical(steps[s].probs.data(), steps[s].probs.size());
-        const lm::Candidate* cand = steps[s].cands[c];
+        const lm::Candidate* cand = steps[s].cands[tables[s].draw(rng)];
         if (is_value_token(tokenizer, cand->token)) {
           text += tokenizer.token_text(cand->token);
         } else {

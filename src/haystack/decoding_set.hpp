@@ -13,17 +13,44 @@
 // When the reachable set is small it is enumerated exactly; otherwise it is
 // sampled by probability (the estimator the distribution statistics and
 // needle searches are built on).
+//
+// Sampler cost: each step's running-sum table is built once per set, O(K)
+// over the step's K candidates, and every Monte-Carlo draw is a binary
+// search over it, O(log K).  A cumulative table was chosen over an alias
+// table (Vose 1991) because, from the same uniform, it picks the same index
+// as Rng::categorical's linear scan and consumes the same one draw, so the
+// RNG stream and every recorded value set stay as they were.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "lm/trace.hpp"
 #include "tok/tokenizer.hpp"
+#include "util/rng.hpp"
 
 namespace lmpeel::haystack {
+
+/// Running sums over one step's weights, for O(log K) categorical draws.
+class CumulativeTable {
+ public:
+  /// Every weight must be finite and >= 0, and their total > 0; checked
+  /// here, once per table rather than once per draw.
+  explicit CumulativeTable(std::span<const double> weights);
+
+  /// Consumes one uniform and returns the first index whose running sum
+  /// exceeds uniform * total — the index Rng::categorical(weights) returns
+  /// for the same draw, unless the draw lies within rounding of a bucket
+  /// edge.  A zero-weight index is never returned.
+  std::size_t draw(util::Rng& rng) const;
+
+ private:
+  std::vector<double> cdf_;
+  std::size_t last_nonzero_ = 0;
+};
 
 struct DecodingOptions {
   /// Enumerate exactly when the reachable-combination count is below this.

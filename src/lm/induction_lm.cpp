@@ -277,7 +277,15 @@ void InductionLm::number_logits(const ContextView& view,
 
   const std::vector<int>& prefix = view.number_prefix;
   const std::size_t p = prefix.size();
-  std::unordered_map<int, double> weight;
+  // Dense accumulator indexed by token id.  `touched` lists the ids that
+  // received mass, in first-touch order; an id whose first addition was
+  // zero may appear twice, which only rewrites the same logit.
+  std::vector<double> weight(out.size(), 0.0);
+  std::vector<int> touched;
+  const auto add = [&](int token, double w) {
+    if (weight[token] == 0.0) touched.push_back(token);
+    weight[token] += w;
+  };
 
   // ---- prefix-copy head ---------------------------------------------------
   // Each in-context value votes for its own continuation.  Exact-prefix
@@ -309,21 +317,21 @@ void InductionLm::number_logits(const ContextView& view,
       const double share = vote[v] / copy_total;
       if (ref.tokens.size() > p) {
         const int t = ref.tokens[p];
-        weight[t] +=
-            (vocab.is_dot(t) ? syntax_weight : params_.copy_weight) * share;
+        add(t, (vocab.is_dot(t) ? syntax_weight : params_.copy_weight) *
+                   share);
       } else {
         // The value ends here: vote for the terminator the examples
         // demonstrated (newline for decimals, 'e' for scientific
         // notation), with a sliver of mass left for overlong values.
-        weight[ref.terminator] +=
-            syntax_weight * share * (1.0 - params_.continue_past_end);
-        weight[vocab.byte_token('0')] +=
-            syntax_weight * share * params_.continue_past_end;
+        add(ref.terminator,
+            syntax_weight * share * (1.0 - params_.continue_past_end));
+        add(vocab.byte_token('0'),
+            syntax_weight * share * params_.continue_past_end);
       }
     }
   } else {
     // No in-context anchor at all (e.g. zero parsed examples): end soon.
-    weight[newline] += syntax_weight;
+    add(newline, syntax_weight);
   }
 
   // ---- pretrained digit prior ----------------------------------------------
@@ -369,14 +377,8 @@ void InductionLm::number_logits(const ContextView& view,
     for (int d = -radius; d <= radius; ++d) {
       const int w = value + d;
       if (w < 0 || w >= domain) continue;
-      std::string text(static_cast<std::size_t>(len), '0');
-      int tmp = w;
-      for (int pos = len - 1; pos >= 0; --pos) {
-        text[pos] = static_cast<char>('0' + tmp % 10);
-        tmp /= 10;
-      }
-      weight[vocab.number_token(text)] +=
-          mass * std::exp(-std::abs(d) / scale) / kernel_sum;
+      add(vocab.number_token(len, w),
+          mass * std::exp(-std::abs(d) / scale) / kernel_sum);
     }
   };
 
@@ -402,13 +404,7 @@ void InductionLm::number_logits(const ContextView& view,
     // the long tail of the paper's per-position candidate sets.
     if (!at_integer && any_wide_anchor) {
       for (int g = 0; g < 1000; ++g) {
-        std::string text = "000";
-        int tmp = g;
-        for (int pos = 2; pos >= 0; --pos) {
-          text[pos] = static_cast<char>('0' + tmp % 10);
-          tmp /= 10;
-        }
-        weight[vocab.number_token(text)] += params_.background3;
+        add(vocab.number_token(3, g), params_.background3);
       }
     }
   }
@@ -421,12 +417,14 @@ void InductionLm::number_logits(const ContextView& view,
       if (ref.tokens.size() > p) ++longer;
     }
     if (longer == 0 && p >= 3) {
-      weight[newline] += syntax_weight * params_.end_weight;
+      add(newline, syntax_weight * params_.end_weight);
     }
   }
 
-  for (const auto& [token, w] : weight) {
-    if (w > 0.0) out[token] = static_cast<float>(std::log(w));
+  for (const int token : touched) {
+    if (weight[token] > 0.0) {
+      out[token] = static_cast<float>(std::log(weight[token]));
+    }
   }
 }
 

@@ -180,25 +180,34 @@ std::vector<std::vector<std::size_t>> disjoint_subsets(
   return subsets;
 }
 
+std::vector<std::size_t> edit_distance_order(const Dataset& data,
+                                             std::size_t centre) {
+  const Syr2kConfig& centre_cfg = data[centre].config;
+  std::vector<int> distance(data.size());
+  int max_distance = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    distance[i] = ConfigSpace::edit_distance(data[i].config, centre_cfg);
+    max_distance = std::max(max_distance, distance[i]);
+  }
+  // Counting sort: bucket starts from the distance histogram, then rows
+  // are placed in index order, which keeps ties by index.
+  std::vector<std::size_t> start(static_cast<std::size_t>(max_distance) + 2);
+  for (const int d : distance) ++start[static_cast<std::size_t>(d) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::size_t> order(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    order[start[static_cast<std::size_t>(distance[i])]++] = i;
+  }
+  return order;
+}
+
 std::vector<std::size_t> minimal_edit_neighborhood(const Dataset& data,
                                                    std::size_t count,
                                                    util::Rng& rng) {
   LMPEEL_CHECK(count + 1 <= data.size());
   const std::size_t centre =
       static_cast<std::size_t>(rng.uniform_int(0, data.size() - 1));
-  const Syr2kConfig& centre_cfg = data[centre].config;
-
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const int da = ConfigSpace::edit_distance(
-                         data[a].config, centre_cfg);
-                     const int db = ConfigSpace::edit_distance(
-                         data[b].config, centre_cfg);
-                     if (da != db) return da < db;
-                     return a < b;
-                   });
+  std::vector<std::size_t> order = edit_distance_order(data, centre);
   // order[0] is the centre (distance 0) — the query — followed by its
   // nearest neighbours as in-context examples.
   order.resize(count + 1);

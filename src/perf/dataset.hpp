@@ -99,6 +99,13 @@ std::vector<std::vector<std::size_t>> disjoint_subsets(std::size_t n,
                                                        std::size_t subset_size,
                                                        util::Rng& rng);
 
+/// Every dataset row ordered by ConfigSpace::edit_distance from row
+/// `centre`, ties by index (so the first entry is the lowest-index row at
+/// distance zero — the centre unless it has an earlier duplicate).  Each
+/// distance is computed once and rows are bucketed by it: O(n) overall.
+std::vector<std::size_t> edit_distance_order(const Dataset& data,
+                                             std::size_t centre);
+
 /// The paper's curated setting: the `count`+1 dataset rows closest to a
 /// random centre configuration by ConfigSpace::edit_distance.  The first
 /// returned index (the centre itself) is used as the query; the remainder

@@ -27,6 +27,8 @@ Vocab::Vocab() {
       tokens_.push_back(std::move(digits));
     }
   }
+  // number_token(len, value) computes ids from this layout.
+  LMPEEL_CHECK(size() == kThreeDigitBase + 1000);
   for (int id = 0; id < static_cast<int>(tokens_.size()); ++id) {
     index_.emplace(tokens_[id], id);
   }
@@ -47,15 +49,25 @@ int Vocab::byte_token(unsigned char byte) const noexcept {
   return kByteBase + static_cast<int>(byte);
 }
 
+int Vocab::number_token(int len, int value) const {
+  LMPEEL_CHECK(len >= 1 && len <= 3);
+  LMPEEL_CHECK(value >= 0 && value < (len == 1 ? 10 : len == 2 ? 100 : 1000));
+  switch (len) {
+    case 1:
+      return byte_token(static_cast<unsigned char>('0' + value));
+    case 2:
+      return kTwoDigitBase + value;
+    default:
+      return kThreeDigitBase + value;
+  }
+}
+
 int Vocab::number_token(std::string_view digits) const {
   LMPEEL_CHECK(util::all_digits(digits));
   LMPEEL_CHECK(digits.size() >= 1 && digits.size() <= 3);
-  if (digits.size() == 1) {
-    return byte_token(static_cast<unsigned char>(digits[0]));
-  }
-  const auto found = find(digits);
-  LMPEEL_CHECK_MSG(found.has_value(), "number token missing from base vocab");
-  return *found;
+  int value = 0;
+  for (const char c : digits) value = value * 10 + (c - '0');
+  return number_token(static_cast<int>(digits.size()), value);
 }
 
 bool Vocab::is_number(int id) const {

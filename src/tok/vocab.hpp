@@ -43,6 +43,12 @@ class Vocab {
   /// Id of the single-byte token for `byte`.
   int byte_token(unsigned char byte) const noexcept;
 
+  /// Id of the `len`-digit group whose zero-padded decimal value is
+  /// `value` (len 1..3, value in [0, 10^len)).  Pure arithmetic over the
+  /// fixed base layout: byte tokens for one digit, then "00".."99", then
+  /// "000".."999" — no string is built and no hash is probed.
+  int number_token(int len, int value) const;
+
   /// Id of an all-digit string of length 1..3.
   int number_token(std::string_view digits) const;
 
@@ -58,6 +64,8 @@ class Vocab {
   static constexpr int kByteBase = kNumSpecial;  // byte tokens start here
 
  private:
+  static constexpr int kTwoDigitBase = kByteBase + 256;  // "00".."99"
+  static constexpr int kThreeDigitBase = kTwoDigitBase + 100;  // "000"..
   std::vector<std::string> tokens_;
   std::unordered_map<std::string, int> index_;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -160,6 +162,66 @@ TEST_F(DatasetFixture, MinimalEditNeighborhoodIsTight) {
   }
   // 21 nearest neighbours of any config sit within a small ball.
   EXPECT_LE(prev, 4);
+}
+
+/// Reference: the comparator sort edit_distance_order replaced, which
+/// recomputes both distances on every comparison.
+std::vector<std::size_t> reference_edit_order(const Dataset& data,
+                                              std::size_t centre) {
+  const Syr2kConfig& centre_cfg = data[centre].config;
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const int da = ConfigSpace::edit_distance(
+                         data[a].config, centre_cfg);
+                     const int db = ConfigSpace::edit_distance(
+                         data[b].config, centre_cfg);
+                     if (da != db) return da < db;
+                     return a < b;
+                   });
+  return order;
+}
+
+TEST(EditDistanceOrder, MatchesComparatorSortForEveryCentre) {
+  // 300 seeded rows drawn with replacement, so duplicate configurations
+  // (distance-zero ties with the centre) occur.
+  util::Rng rng(31);
+  std::string csv = "size,config_index,runtime\n";
+  for (int i = 0; i < 300; ++i) {
+    csv += "SM," + std::to_string(rng.uniform_int(0, 399)) + ",0.5\n";
+  }
+  std::istringstream in(csv);
+  const Dataset data = Dataset::read_csv(in);
+  for (std::size_t centre = 0; centre < data.size(); ++centre) {
+    ASSERT_EQ(edit_distance_order(data, centre),
+              reference_edit_order(data, centre))
+        << "centre " << centre;
+  }
+}
+
+TEST_F(DatasetFixture, EditDistanceOrderMatchesComparatorSortOnFullData) {
+  util::Rng rng(5);
+  for (int k = 0; k < 20; ++k) {
+    const auto centre =
+        static_cast<std::size_t>(rng.uniform_int(0, data().size() - 1));
+    ASSERT_EQ(edit_distance_order(data(), centre),
+              reference_edit_order(data(), centre))
+        << "centre " << centre;
+  }
+}
+
+TEST_F(DatasetFixture, MinimalEditNeighborhoodMatchesComparatorSort) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const std::size_t count = 1 + seed * 7;
+    util::Rng rng(seed), reference_rng(seed);
+    const auto centre = static_cast<std::size_t>(
+        reference_rng.uniform_int(0, data().size() - 1));
+    std::vector<std::size_t> want = reference_edit_order(data(), centre);
+    want.resize(count + 1);
+    EXPECT_EQ(minimal_edit_neighborhood(data(), count, rng), want)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <unordered_map>
+
 #include "lm/generate.hpp"
 #include "lm/induction_lm.hpp"
 #include "perf/dataset.hpp"
 #include "prompt/template.hpp"
+#include "util/rng.hpp"
+#include "util/str.hpp"
 
 namespace lmpeel::haystack {
 namespace {
@@ -246,6 +254,218 @@ TEST(EndToEnd, InductionTraceYieldsLargeHaystack) {
   } else {
     EXPECT_GT(set.sampled_value, 0.0);
   }
+}
+
+/// Two-step trace "0.<d>" whose second step holds explicit candidate probs.
+lm::GenerationTrace trace_with_probs(const tok::Tokenizer& tz,
+                                     const std::vector<float>& probs) {
+  lm::GenerationTrace trace;
+  lm::Step head;
+  head.candidates.push_back({tz.vocab().number_token("0"), 0.0f, 1.0f});
+  head.chosen = head.candidates.front().token;
+  trace.add_step(head);
+  lm::Step dot;
+  dot.candidates.push_back({tz.dot_token(), 0.0f, 1.0f});
+  dot.chosen = tz.dot_token();
+  trace.add_step(dot);
+  lm::Step tail;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    tail.candidates.push_back(
+        {tz.vocab().number_token(1, static_cast<int>(1 + i % 9)), 0.0f,
+         probs[i]});
+  }
+  tail.chosen = tail.candidates.front().token;
+  trace.add_step(tail);
+  return trace;
+}
+
+TEST(BuildDecodingSet, RejectsNanAndNegativeCandidateProbs) {
+  tok::Tokenizer tz;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  DecodingOptions exact_options;
+  DecodingOptions mc_options;
+  mc_options.exact_limit = 1;  // force Monte-Carlo
+  mc_options.mc_samples = 100;
+  for (const auto& probs : {std::vector<float>{0.5f, nan, 0.5f},
+                            std::vector<float>{0.7f, -0.2f, 0.5f}}) {
+    const auto trace = trace_with_probs(tz, probs);
+    EXPECT_THROW(build_decoding_set(trace, tz, 0, 3, exact_options),
+                 std::runtime_error);
+    EXPECT_THROW(build_decoding_set(trace, tz, 0, 3, mc_options),
+                 std::runtime_error);
+  }
+  // The same shape with valid probabilities builds on both paths.
+  const auto valid = trace_with_probs(tz, {0.5f, 0.0f, 0.5f});
+  EXPECT_TRUE(build_decoding_set(valid, tz, 0, 3, exact_options).exact);
+  EXPECT_FALSE(build_decoding_set(valid, tz, 0, 3, mc_options).exact);
+}
+
+TEST(CumulativeTable, RejectsInvalidWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(CumulativeTable(std::vector<double>{}), std::runtime_error);
+  EXPECT_THROW(CumulativeTable(std::vector<double>{0.0, 0.0}),
+               std::runtime_error);
+  EXPECT_THROW(CumulativeTable(std::vector<double>{1.0, -0.5}),
+               std::runtime_error);
+  EXPECT_THROW(CumulativeTable(std::vector<double>{1.0, nan}),
+               std::runtime_error);
+  EXPECT_THROW(CumulativeTable(std::vector<double>{1.0, inf}),
+               std::runtime_error);
+}
+
+/// Differential check against the linear scan: the same seed drives both
+/// samplers in lockstep (each consumes one uniform per draw).
+TEST(CumulativeTable, AgreesWithLinearScanCategorical) {
+  util::Rng gen(2024);
+  std::vector<std::vector<double>> cases;
+  cases.push_back({3.5});
+  cases.push_back({0.25, 0.75});
+  cases.push_back({0.0, 0.3});
+  std::vector<double> eleven(11);
+  for (double& w : eleven) w = gen.uniform();
+  eleven[0] = eleven[4] = eleven[10] = 0.0;
+  cases.push_back(eleven);
+  std::vector<double> one_hot(11, 0.0);
+  one_hot[6] = 2.0;
+  cases.push_back(one_hot);
+  std::vector<double> uniform_k(1000);
+  for (double& w : uniform_k) w = gen.uniform() < 0.2 ? 0.0 : gen.uniform();
+  cases.push_back(uniform_k);
+  std::vector<double> heavy(1000);  // Pareto-like tail, many tiny weights
+  for (double& w : heavy) w = std::pow(1.0 - gen.uniform(), -3.0) * 1e-6;
+  heavy[0] = 0.0;
+  heavy[999] = 0.0;
+  cases.push_back(heavy);
+
+  constexpr std::size_t kDraws = 200000;
+  std::size_t draws = 0, disagreements = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<double>& w = cases[c];
+    const CumulativeTable table(w);
+    util::Rng a(77, c), b(77, c);
+    for (std::size_t n = 0; n < kDraws; ++n) {
+      const std::size_t fast = table.draw(a);
+      const std::size_t slow = b.categorical(w.data(), w.size());
+      ++draws;
+      ASSERT_LT(fast, w.size());
+      ASSERT_GT(w[fast], 0.0) << "zero-weight index " << fast;
+      if (fast == slow) continue;
+      ++disagreements;
+      // Only a rounding tie at a bucket edge may differ: no nonzero weight
+      // lies strictly between the two picks.
+      for (std::size_t i = std::min(fast, slow) + 1;
+           i < std::max(fast, slow); ++i) {
+        EXPECT_EQ(w[i], 0.0) << "non-adjacent disagreement " << fast
+                             << " vs " << slow;
+      }
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
+  EXPECT_LE(static_cast<double>(disagreements),
+            1e-6 * static_cast<double>(draws));
+}
+
+/// Reference copy of the Monte-Carlo estimator as it was written with one
+/// Rng::categorical linear scan per draw.
+bool reference_well_formed(const std::string& text) {
+  const auto dot = text.find('.');
+  if (dot == std::string::npos || dot == 0 || dot + 1 >= text.size()) {
+    return false;
+  }
+  if (text.find('.', dot + 1) != std::string::npos) return false;
+  return util::all_digits(std::string_view(text).substr(0, dot)) &&
+         util::all_digits(std::string_view(text).substr(dot + 1));
+}
+
+std::vector<WeightedValue> reference_monte_carlo(
+    const lm::GenerationTrace& trace, const tok::Tokenizer& tokenizer,
+    std::size_t first, std::size_t last, const DecodingOptions& options) {
+  const auto is_value_token = [&](int id) {
+    return tokenizer.is_number_token(id) || tokenizer.is_dot_token(id);
+  };
+  std::vector<std::vector<const lm::Candidate*>> cands;
+  std::vector<std::vector<double>> probs;
+  for (std::size_t s = first; s < last; ++s) {
+    std::vector<const lm::Candidate*> sc;
+    double total = 0.0;
+    for (const lm::Candidate& c : trace.step(s).candidates) {
+      sc.push_back(&c);
+      total += c.prob;
+    }
+    std::vector<double> sp;
+    for (const lm::Candidate* c : sc) sp.push_back(c->prob / total);
+    cands.push_back(std::move(sc));
+    probs.push_back(std::move(sp));
+  }
+  std::unordered_map<double, double> mass;
+  util::Rng rng(options.seed, 0x4a57);
+  const double sample_weight = 1.0 / static_cast<double>(options.mc_samples);
+  for (std::size_t n = 0; n < options.mc_samples; ++n) {
+    std::string text;
+    bool terminated = false;
+    for (std::size_t s = 0; s < cands.size() && !terminated; ++s) {
+      const std::size_t c = rng.categorical(probs[s].data(), probs[s].size());
+      const lm::Candidate* cand = cands[s][c];
+      if (is_value_token(cand->token)) {
+        text += tokenizer.token_text(cand->token);
+      } else {
+        terminated = true;
+      }
+    }
+    if (!reference_well_formed(text)) continue;
+    const auto v = util::parse_double(text);
+    if (v.has_value()) mass[*v] += sample_weight;
+  }
+  std::vector<WeightedValue> out;
+  for (const auto& [value, weight] : mass) out.push_back({value, weight});
+  std::sort(out.begin(), out.end(),
+            [](const WeightedValue& a, const WeightedValue& b) {
+              return a.value < b.value;
+            });
+  return out;
+}
+
+TEST(BuildDecodingSet, MonteCarloMatchesLinearScanReferenceOnRealTraces) {
+  static perf::Dataset data =
+      perf::Dataset::generate(perf::Syr2kModel{}, perf::SizeClass::SM, 42);
+  tok::Tokenizer tz;
+  lm::InductionLm model(tz);
+  const prompt::PromptBuilder builder(perf::SizeClass::SM);
+  DecodingOptions options;
+  options.exact_limit = 1;  // force Monte-Carlo
+  options.mc_samples = 4000;
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    util::Rng rng(seed, 0x7e57);
+    const std::size_t icl = 3 + seed % 23;
+    const auto sets = perf::disjoint_subsets(data.size(), 1, icl, rng);
+    std::vector<perf::Sample> examples;
+    for (const std::size_t i : sets[0]) examples.push_back(data[i]);
+    const auto ids = builder.encode(
+        tz, examples, data[rng.uniform_int(0, data.size() - 1)].config);
+    lm::GenerateOptions gen;
+    gen.sampler = {1.0, 0, 1.0};
+    gen.stop_token = tz.newline_token();
+    gen.max_tokens = 48;
+    gen.seed = seed;
+    const auto generation = lm::generate(model, ids, gen);
+    const auto span = find_value_span(generation.trace, tz);
+    if (!span.has_value()) continue;  // a refusal deviation
+    options.seed = seed;
+    const auto set = build_decoding_set(generation.trace, tz, span->first,
+                                        span->second, options);
+    if (set.exact) continue;  // a single reachable path
+    const auto want = reference_monte_carlo(generation.trace, tz, span->first,
+                                            span->second, options);
+    ASSERT_EQ(set.values.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(set.values[i].value, want[i].value) << "seed " << seed;
+      EXPECT_EQ(set.values[i].weight, want[i].weight) << "seed " << seed;
+    }
+    ++compared;
+  }
+  EXPECT_GE(compared, 40u);
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "lm/generate.hpp"
 #include "perf/dataset.hpp"
 #include "prompt/parser.hpp"
 #include "prompt/template.hpp"
+#include "util/rng.hpp"
 
 namespace lmpeel::lm {
 namespace {
@@ -237,6 +239,53 @@ TEST_F(InductionFixture, EosAfterCompletedValue) {
   std::vector<float> logits(model.vocab_size());
   model.next_logits(ids, logits);
   EXPECT_EQ(sample_greedy(logits), tok::kEos);
+}
+
+// Bit-level regression pin for next_logits.  30 sweep-shaped prompts
+// (random and minimal-edit curation, 1 to 100 examples) are generated to
+// completion; every logit bit pattern along each prompt + continuation is
+// folded into one hash.  The pinned value was computed before the number
+// logits moved from a hashed token map to arithmetic ids and a dense
+// accumulator, so any change to the values or their order of summation
+// shows up here.
+TEST_F(InductionFixture, NextLogitsBitPatternsArePinned) {
+  InductionLm model(tokenizer());
+  const prompt::PromptBuilder builder(perf::SizeClass::SM);
+  const std::size_t counts[] = {1, 5, 10, 25, 50, 100};
+  std::vector<float> logits(model.vocab_size());
+  std::uint64_t h = 0;
+  std::size_t calls = 0;
+  for (std::uint64_t k = 0; k < 30; ++k) {
+    const std::size_t icl = counts[k % 6];
+    std::vector<perf::Sample> shots;
+    std::size_t query = (k * 331 + 17) % data().size();
+    if (k % 2 == 0) {
+      shots = examples(icl, 100 + k);
+    } else {
+      util::Rng rng(200 + k);
+      const auto nbh = perf::minimal_edit_neighborhood(data(), icl, rng);
+      query = nbh[0];
+      for (std::size_t i = 1; i < nbh.size(); ++i) {
+        shots.push_back(data()[nbh[i]]);
+      }
+    }
+    const auto gen = respond(model, shots, data()[query].config, k);
+    std::vector<int> context =
+        builder.encode(tokenizer(), shots, data()[query].config);
+    model.set_seed(k);
+    for (std::size_t t = 0; t <= gen.tokens.size(); ++t) {
+      model.next_logits(context, logits);
+      ++calls;
+      for (const float x : logits) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        h = util::hash_combine(h, bits);
+      }
+      if (t < gen.tokens.size()) context.push_back(gen.tokens[t]);
+    }
+  }
+  EXPECT_GT(calls, 300u);
+  EXPECT_EQ(h, 0x28de5227f0a2031bULL) << std::hex << "0x" << h;
 }
 
 // Property sweep across in-context example counts: every count must yield

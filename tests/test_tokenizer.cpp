@@ -29,6 +29,37 @@ TEST(Vocab, NumberPredicates) {
   EXPECT_FALSE(vocab.is_dot(vocab.byte_token(',')));
 }
 
+TEST(Vocab, ArithmeticNumberTokenMatchesLookup) {
+  Vocab vocab;
+  int groups = 0;
+  for (int len = 1; len <= 3; ++len) {
+    const int count = len == 1 ? 10 : (len == 2 ? 100 : 1000);
+    for (int value = 0; value < count; ++value) {
+      std::string text = std::to_string(value);
+      text.insert(0, static_cast<std::size_t>(len) - text.size(), '0');
+      const auto found = vocab.find(text);
+      ASSERT_TRUE(found.has_value()) << text;
+      EXPECT_EQ(vocab.number_token(len, value), *found) << text;
+      EXPECT_EQ(vocab.number_token(text), *found) << text;
+      ++groups;
+    }
+  }
+  EXPECT_EQ(groups, 1110);
+}
+
+TEST(Vocab, NumberTokenRejectsOutOfRange) {
+  Vocab vocab;
+  EXPECT_THROW(vocab.number_token(0, 0), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(4, 0), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(1, 10), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(2, 100), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(3, 1000), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(3, -1), std::runtime_error);
+  EXPECT_THROW(vocab.number_token("1234"), std::runtime_error);
+  EXPECT_THROW(vocab.number_token("1a"), std::runtime_error);
+  EXPECT_THROW(vocab.number_token(""), std::runtime_error);
+}
+
 TEST(Pretokenize, SplitsKinds) {
   const auto pieces = pretokenize("tile is 128, ok.");
   ASSERT_GE(pieces.size(), 6u);
