@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// GBT training, syr2k model evaluation, dataset generation, haystack
+// the training backward kernels and one training sequence, GBT training, syr2k model evaluation, dataset generation, haystack
 // enumeration and the edit-distance neighbour order.  These validate that
 // the HPC-parallel substrate is fast enough for the paper-scale sweeps and
 // catch performance regressions.
@@ -12,7 +12,9 @@
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
 #include "haystack/decoding_set.hpp"
+#include "lm/corpus.hpp"
 #include "lm/generate.hpp"
+#include "lm/tensor.hpp"
 #include "lm/transformer.hpp"
 #include "perf/dataset.hpp"
 
@@ -80,6 +82,72 @@ void BM_TransformerForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransformerForward)->Arg(32)->Arg(128);
+
+// Args {m, k, n}: da[m, k] += grad[m, n] · b[k, n]^T.  The two shapes are
+// the MLP's at d_model 64 over a 70-token sequence.  Items are MACs.
+void BM_MatmulGradA(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  util::Rng rng(1);
+  lm::Tensor grad(m, n), b(k, n), da(m, k);
+  grad.randomize(rng, 1.0f);
+  b.randomize(rng, 1.0f);
+  for (auto _ : state) {
+    lm::matmul_grad_a(grad, b, da);
+    benchmark::DoNotOptimize(da.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * m * k * n));
+}
+BENCHMARK(BM_MatmulGradA)->Args({70, 64, 256})->Args({70, 256, 64});
+
+// Args {m, k, n}: db[k, n] += a[m, k]^T · grad[m, n].  Items are MACs.
+void BM_MatmulGradB(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  util::Rng rng(2);
+  lm::Tensor a(m, k), grad(m, n), db(k, n);
+  a.randomize(rng, 1.0f);
+  grad.randomize(rng, 1.0f);
+  for (auto _ : state) {
+    lm::matmul_grad_b(a, grad, db);
+    benchmark::DoNotOptimize(db.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * m * k * n));
+}
+BENCHMARK(BM_MatmulGradB)->Args({70, 64, 256})->Args({70, 256, 64});
+
+// Forward + backward over one linear-function sequence (70 tokens at these
+// task options) with its answer mask, on the lmbench train_icl model.
+// Items are tokens.
+void BM_TrainSequence(benchmark::State& state) {
+  const tok::Tokenizer tokenizer;
+  lm::TransformerConfig config;
+  config.vocab = tokenizer.vocab_size();
+  config.d_model = 64;
+  config.n_head = 4;
+  config.n_layer = 2;
+  config.max_seq = 96;
+  lm::TransformerLm model(config, 1);
+  lm::LinearTaskOptions task;
+  task.n_examples = 6;
+  task.slope_max = 4;
+  task.intercept_max = 9;
+  task.x_max = 9;
+  util::Rng rng(3);
+  const lm::MaskedSequence seq =
+      lm::encode_linear_example(tokenizer, lm::make_linear_prompt(task, rng));
+  for (auto _ : state) {
+    model.zero_gradients();
+    benchmark::DoNotOptimize(model.train_sequence(seq.tokens, seq.target_mask));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * seq.tokens.size()));
+}
+BENCHMARK(BM_TrainSequence)->Unit(benchmark::kMillisecond);
 
 void BM_GbtFit(benchmark::State& state) {
   auto& pipeline = shared_pipeline();

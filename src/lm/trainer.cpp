@@ -10,6 +10,7 @@ TrainResult train(
     const std::function<MaskedSequence(util::Rng&)>& next_sequence,
     const TrainerOptions& options) {
   LMPEEL_CHECK(options.steps > 0 && options.batch_size > 0);
+  LMPEEL_CHECK_MSG(options.report_every > 0, "report_every must be positive");
   AdamW optimizer(model.parameters(), model.gradients(), options.optimizer);
 
   TrainResult result;

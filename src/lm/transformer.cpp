@@ -57,13 +57,13 @@ struct TransformerLm::Cache {
     Tensor m;                // [T,D] ln2 output
     LayerNormCache ln2;
     Tensor h1;               // [T,4D]
-    Tensor g;                // [T,4D] gelu(h1)
+    Tensor tanh_u;           // [T,4D] gelu's tanh(u); gelu(h1) is rebuilt
   };
   std::vector<LayerCache> layers;
   Tensor x_final;            // [T,D] output of the last block
-  Tensor f;                  // [T,D] final layer norm
   LayerNormCache lnf;
-  Tensor logits;             // [T,V]
+  Tensor head_f;             // [R,D] final layer norm at the R head rows
+  Tensor logits;             // [R,V] tied-head logits at the R head rows
 };
 
 TransformerLm::TransformerLm(TransformerConfig config, std::uint64_t seed)
@@ -130,6 +130,7 @@ TransformerLm::TransformerLm(TransformerConfig config, std::uint64_t seed)
 }
 
 void TransformerLm::forward(std::span<const int> ids, Cache* cache,
+                            std::span<const std::size_t> head_rows,
                             std::span<float> last_logits_out) {
   obs::Span span("lm.transformer.forward");
   obs::Registry::global().counter("lm.transformer.forward_tokens")
@@ -195,10 +196,9 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
     lc.h1 = Tensor(t_len, 4 * d);
     matmul(lc.m, layer.w_fc1, lc.h1);
     add_bias(lc.h1, layer.b_fc1);
-    lc.g = Tensor(t_len, 4 * d);
-    gelu(lc.h1, lc.g);
+    lc.tanh_u = Tensor(t_len, 4 * d);
     Tensor h2(t_len, d);
-    matmul(lc.g, layer.w_fc2, h2);
+    gelu_matmul(lc.h1, layer.w_fc2, h2, lc.tanh_u);
     add_bias(h2, layer.b_fc2);
 
     x = lc.x2;
@@ -210,13 +210,19 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
   LayerNormCache& lnf = cache ? cache->lnf : lnf_scratch;
   layer_norm(x, lnf_g_.row(0), lnf_b_.row(0), f, lnf);
 
+  LMPEEL_CHECK(cache || head_rows.empty());
   if (cache) {
     cache->x_final = x;
-    cache->f = f;
-    cache->logits = Tensor(t_len, config_.vocab);
-    // logits = f * tok_emb^T (weight tying); bit-identical to
-    // tied_head_row per row, but blocked over rows of f.
-    matmul_transposed_b(f, tok_emb_, cache->logits);
+    cache->head_f = Tensor(head_rows.size(), d);
+    for (std::size_t r = 0; r < head_rows.size(); ++r) {
+      LMPEEL_CHECK(head_rows[r] < t_len);
+      std::copy_n(f.data() + head_rows[r] * d, d,
+                  cache->head_f.data() + r * d);
+    }
+    cache->logits = Tensor(head_rows.size(), config_.vocab);
+    // logits = f * tok_emb^T (weight tying) at the head rows only;
+    // bit-identical to tied_head_row per row, but blocked over rows.
+    matmul_transposed_b(cache->head_f, tok_emb_, cache->logits);
   }
   if (!last_logits_out.empty()) {
     LMPEEL_CHECK(last_logits_out.size() ==
@@ -235,7 +241,7 @@ void TransformerLm::prefill(KvCache& cache, std::span<const int> tokens,
   LMPEEL_CHECK(out.size() == static_cast<std::size_t>(config_.vocab));
 
   Cache fwd;
-  forward(tokens, &fwd, out);
+  forward(tokens, &fwd, {}, out);
 
   // Lift each position's key/value slice out of the cached QKV projections;
   // these are the exact floats decode_batch would have appended.
@@ -632,7 +638,7 @@ void TransformerLm::next_logits(std::span<const int> context,
     window = window.subspan(window.size() -
                             static_cast<std::size_t>(config_.max_seq));
   }
-  forward(window, nullptr, out);
+  forward(window, nullptr, {}, out);
 }
 
 double TransformerLm::loss_and_backward(
@@ -646,23 +652,25 @@ double TransformerLm::loss_and_backward(
   const std::size_t hd = d / n_head;
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
-  Cache cache;
-  forward(tokens.subspan(0, t_len), &cache, {});
-
-  // Cross-entropy + dlogits.
-  std::size_t n_targets = 0;
+  // Only the target rows reach the loss, so only they get logits; every
+  // other row of dlogits would be zero.
+  std::vector<std::size_t> targets;
   for (std::size_t t = 0; t < t_len; ++t) {
-    if (target_mask.empty() || target_mask[t]) ++n_targets;
+    if (target_mask.empty() || target_mask[t]) targets.push_back(t);
   }
-  LMPEEL_CHECK_MSG(n_targets > 0, "no target positions selected");
+  LMPEEL_CHECK_MSG(!targets.empty(), "no target positions selected");
+  const std::size_t n_targets = targets.size();
 
+  Cache cache;
+  forward(tokens.subspan(0, t_len), &cache, targets, {});
+
+  // Cross-entropy + dlogits, one row per target.
   double loss = 0.0;
-  Tensor dlogits(t_len, config_.vocab);
+  Tensor dlogits(n_targets, config_.vocab);
   const float inv_n = 1.0f / static_cast<float>(n_targets);
-  for (std::size_t t = 0; t < t_len; ++t) {
-    const bool active = target_mask.empty() || target_mask[t];
-    float* lr = cache.logits.data() + t * config_.vocab;
-    if (!active) continue;
+  for (std::size_t r = 0; r < n_targets; ++r) {
+    const std::size_t t = targets[r];
+    const float* lr = cache.logits.data() + r * config_.vocab;
     // log-softmax
     float hi = lr[0];
     for (int v = 1; v < config_.vocab; ++v) hi = std::max(hi, lr[v]);
@@ -675,7 +683,7 @@ double TransformerLm::loss_and_backward(
     LMPEEL_CHECK(target >= 0 && target < config_.vocab);
     loss += logz - static_cast<double>(lr[target]);
     if (do_backward) {
-      float* dl = dlogits.data() + t * config_.vocab;
+      float* dl = dlogits.data() + r * config_.vocab;
       for (int v = 0; v < config_.vocab; ++v) {
         const float p = static_cast<float>(
             std::exp(static_cast<double>(lr[v]) - logz));
@@ -690,11 +698,17 @@ double TransformerLm::loss_and_backward(
   obs::Span backward_span("lm.transformer.backward");
 
   // ---- backward -------------------------------------------------------
-  // Head (weight-tied): logits = f * E^T.
+  // Head (weight-tied): logits = f * E^T at the target rows.
   // df = dlogits · E, and dE += dlogits^T · f (shared embedding matrix).
+  // Rows of df off the targets are +0, exactly what a zero row of dlogits
+  // gives.
+  Tensor df_targets(n_targets, d);
+  matmul(dlogits, tok_emb_, df_targets);
+  matmul_grad_b(dlogits, cache.head_f, d_tok_emb_);
   Tensor df(t_len, d);
-  matmul(dlogits, tok_emb_, df);
-  matmul_grad_b(dlogits, cache.f, d_tok_emb_);
+  for (std::size_t r = 0; r < n_targets; ++r) {
+    std::copy_n(df_targets.data() + r * d, d, df.data() + targets[r] * d);
+  }
 
   Tensor dx(t_len, d);
   layer_norm_backward(cache.x_final, lnf_g_.row(0), df, cache.lnf, dx,
@@ -707,13 +721,15 @@ double TransformerLm::loss_and_backward(
     // x3 = x2 + h2(m(x2)); dx currently holds dL/dx3.
     Tensor dh2 = dx;  // residual branch
 
+    Tensor g(t_len, 4 * d);
+    gelu_from_tanh(lc.h1, lc.tanh_u, g);
     Tensor dg(t_len, 4 * d);
     matmul_grad_a(dh2, layer.w_fc2, dg);
-    matmul_grad_b(lc.g, dh2, layer.d_w_fc2);
+    matmul_grad_b(g, dh2, layer.d_w_fc2);
     bias_grad(dh2, layer.d_b_fc2);
 
     Tensor dh1(t_len, 4 * d);
-    gelu_backward(lc.h1, dg, dh1);
+    gelu_backward(lc.h1, lc.tanh_u, dg, dh1);
 
     Tensor dm(t_len, d);
     matmul_grad_a(dh1, layer.w_fc1, dm);

@@ -122,10 +122,13 @@ class TransformerLm final : public LanguageModel, public KvBackend {
   /// Everything the backward pass needs from one forward pass.
   struct Cache;
 
-  /// Runs the forward pass over `ids` (length T); logits for every
-  /// position land in cache.logits.  `cache` may be null for
-  /// inference-only calls paired with `logits_out` for the last position.
+  /// Runs the forward pass over `ids` (length T).  Logits for the
+  /// positions in `head_rows` (ascending) land in cache.logits, one row
+  /// each; the tied head runs on no other row.  `cache` may be null for
+  /// inference-only calls paired with `logits_out` for the last position
+  /// (and then `head_rows` must be empty).
   void forward(std::span<const int> ids, Cache* cache,
+               std::span<const std::size_t> head_rows,
                std::span<float> last_logits_out);
 
   double loss_and_backward(std::span<const int> tokens,

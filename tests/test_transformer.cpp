@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "lm/adamw.hpp"
 #include "lm/corpus.hpp"
@@ -255,6 +257,94 @@ TEST(Transformer, TrainingReducesLossOnRepetitiveData) {
       options);
   ASSERT_EQ(result.loss_curve.size(), 60u);
   EXPECT_LT(result.final_loss, result.loss_curve.front() * 0.7);
+}
+
+// FNV-1a over the bytes of `word`, low byte first.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Hashes the bit pattern of every float.  With `fold_zero_sign`, -0.0f
+// hashes as +0.0f: accumulation that no longer skips zero terms may flip
+// the sign of a zero gradient, which AdamW turns into the same parameter
+// bits.
+std::uint64_t hash_tensors(std::uint64_t h, const std::vector<Tensor*>& ts,
+                           bool fold_zero_sign) {
+  for (const Tensor* t : ts) {
+    for (std::size_t i = 0; i < t->size(); ++i) {
+      float v = t->data()[i];
+      if (fold_zero_sign && v == 0.0f) v = 0.0f;
+      h = fnv_mix(h, std::bit_cast<std::uint32_t>(v));
+    }
+  }
+  return h;
+}
+
+// Pins the training arithmetic bit for bit: three AdamW steps over masked
+// linear-function sequences, and one unmasked train_sequence in which every
+// row is a target.  d_model 20 puts row and column tails into every
+// projection kernel (20 % 8, 60 % 32, 80 % 32).  The expected hashes were
+// computed with the unblocked reference backward kernels (strict-order
+// dots, full [T x V] logits, tanh evaluated in both forward and backward);
+// a change to any gradient's add sequence changes them.  libm's tanhf,
+// exp and log results enter the hashes too.
+TEST(Transformer, TrainingTrajectoryIsPinned) {
+  tok::Tokenizer tz;
+  TransformerConfig cfg;
+  cfg.vocab = tz.vocab_size();
+  cfg.d_model = 20;
+  cfg.n_head = 2;
+  cfg.n_layer = 2;
+  cfg.max_seq = 64;
+  LinearTaskOptions task;
+  task.n_examples = 3;
+  const auto draw = [&](util::Rng& rng) {
+    return encode_linear_example(tz, make_linear_prompt(task, rng));
+  };
+
+  TransformerLm model(cfg, 21);
+  TrainerOptions options;
+  options.steps = 3;
+  options.batch_size = 3;
+  options.warmup_steps = 1;
+  options.optimizer.lr = 3e-3;
+  options.seed = 5;
+  const TrainResult result = train(model, draw, options);
+  std::uint64_t masked = 14695981039346656037ull;
+  for (const double loss : result.loss_curve) {
+    masked = fnv_mix(masked, std::bit_cast<std::uint64_t>(loss));
+  }
+  masked = hash_tensors(masked, model.parameters(), false);
+  masked = hash_tensors(masked, model.gradients(), true);
+
+  TransformerLm fresh(cfg, 22);
+  util::Rng rng(9);
+  const MaskedSequence seq = draw(rng);
+  fresh.zero_gradients();
+  const double loss = fresh.train_sequence(seq.tokens);
+  std::uint64_t unmasked =
+      fnv_mix(14695981039346656037ull, std::bit_cast<std::uint64_t>(loss));
+  unmasked = hash_tensors(unmasked, fresh.gradients(), true);
+
+  EXPECT_EQ(masked, 0x93c1acc147694d35ull) << std::hex << masked;
+  EXPECT_EQ(unmasked, 0x7f544936a19bb7f1ull) << std::hex << unmasked;
+}
+
+TEST(Trainer, ZeroReportEveryThrows) {
+  TransformerLm model(tiny_config(30), 8);
+  TrainerOptions options;
+  options.steps = 1;
+  options.batch_size = 1;
+  options.report_every = 0;
+  options.on_step = [](std::size_t, double) {};
+  const auto draw = [](util::Rng&) {
+    return MaskedSequence{{1, 2, 3}, {1, 1}};
+  };
+  EXPECT_THROW(train(model, draw, options), std::runtime_error);
 }
 
 TEST(AdamW, StepMovesParametersAgainstGradient) {
