@@ -1,7 +1,9 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
-// throughput, induction-model logit computation, transformer forward pass,
-// the training backward kernels and one training sequence, GBT training, syr2k model evaluation, dataset generation, haystack
-// enumeration and the edit-distance neighbour order.  These validate that
+// throughput, induction-model logit computation (integer and fraction
+// positions), transformer forward pass, the training backward kernels and
+// one training sequence, GBT training, syr2k model evaluation, dataset
+// generation, haystack enumeration (Monte-Carlo and exact) and the
+// edit-distance neighbour order.  These validate that
 // the HPC-parallel substrate is fast enough for the paper-scale sweeps and
 // catch performance regressions.
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include "lm/tensor.hpp"
 #include "lm/transformer.hpp"
 #include "perf/dataset.hpp"
+#include "prompt/render.hpp"
 
 namespace {
 
@@ -46,6 +49,8 @@ void BM_TokenizerEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenizerEncode);
 
+// Arg 0: in-context examples.  The context ends right after the query's
+// leading space, at the value's integer position.
 void BM_InductionNextLogits(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
   const auto builder = pipeline.builder(perf::SizeClass::SM);
@@ -62,6 +67,36 @@ void BM_InductionNextLogits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InductionNextLogits)->Arg(10)->Arg(50)->Arg(100);
+
+// As BM_InductionNextLogits, with the first example's integer group, dot
+// and first fraction group already emitted, so the call runs the digit
+// prior's neighbourhoods and the 1000-group background at a fraction
+// position, as most of a sweep's value tokens do.
+void BM_InductionNextLogitsFraction(benchmark::State& state) {
+  auto& pipeline = shared_pipeline();
+  const auto& tz = pipeline.tokenizer();
+  const auto builder = pipeline.builder(perf::SizeClass::SM);
+  const auto& data = pipeline.dataset(perf::SizeClass::SM);
+  std::vector<perf::Sample> examples(
+      data.samples().begin(),
+      data.samples().begin() + state.range(0));
+  auto ids = builder.encode(tz, examples, data[5].config);
+  ids.push_back(tz.space_token());
+  const auto value = tz.encode(prompt::render_value(
+      examples.front().runtime,
+      pipeline.config().prompt_options.number_format));
+  if (value.size() < 4) {
+    state.SkipWithError("value has no second fraction group");
+    return;
+  }
+  ids.insert(ids.end(), value.begin(), value.begin() + 3);
+  std::vector<float> logits(pipeline.model().vocab_size());
+  for (auto _ : state) {
+    pipeline.model().next_logits(ids, logits);
+    benchmark::DoNotOptimize(logits.data());
+  }
+}
+BENCHMARK(BM_InductionNextLogitsFraction)->Arg(10)->Arg(100);
 
 void BM_TransformerForward(benchmark::State& state) {
   lm::TransformerConfig config;
@@ -197,6 +232,8 @@ void BM_DatasetGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetGenerate)->Unit(benchmark::kMillisecond);
 
+// Arg 0: 0 forces the Monte-Carlo path (5000 samples), 1 enumerates the
+// same trace exactly.  Items are samples or reachable paths.
 void BM_HaystackEnumeration(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
   const auto& tz = pipeline.tokenizer();
@@ -215,18 +252,25 @@ void BM_HaystackEnumeration(benchmark::State& state) {
     state.SkipWithError("no value span");
     return;
   }
+  const bool exact = state.range(0) != 0;
+  const double paths =
+      generation.trace.permutations(span->first, span->second);
   haystack::DecodingOptions options;
-  options.exact_limit = 1;  // force the Monte-Carlo path
+  options.exact_limit = exact ? paths : 1;
   options.mc_samples = 5000;
   for (auto _ : state) {
     const auto set = haystack::build_decoding_set(
         generation.trace, tz, span->first, span->second, options);
     benchmark::DoNotOptimize(set.values.size());
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * options.mc_samples));
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<double>(state.iterations()) *
+      (exact ? paths : static_cast<double>(options.mc_samples))));
 }
-BENCHMARK(BM_HaystackEnumeration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HaystackEnumeration)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EditDistanceOrder(benchmark::State& state) {
   // The first n rows of the SM dataset, round-tripped through the CSV

@@ -85,20 +85,38 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
     const std::vector<std::size_t> pool(
         order.begin() + settings.queries_per_setting, order.end());
 
+    // Each panel query's minimal-edit neighbourhood, computed once per size
+    // (every (icl, set) cell slices the same order), and only as deep as
+    // the deepest slice.
+    std::vector<std::vector<std::size_t>> panel_neighbors;
+    if (std::find(settings.curations.begin(), settings.curations.end(),
+                  Curation::MinimalEditDistance) != settings.curations.end()) {
+      panel_neighbors.reserve(query_panel.size());
+      for (const std::size_t q : query_panel) {
+        std::vector<std::size_t> neighbors = neighbor_order(data, q);
+        LMPEEL_CHECK(settings.disjoint_sets * max_icl <= neighbors.size());
+        neighbors.resize(settings.disjoint_sets * max_icl);
+        panel_neighbors.push_back(std::move(neighbors));
+      }
+    }
+
     for (const Curation curation : settings.curations) {
       for (const std::size_t icl : settings.icl_counts) {
+        // Random curation: shuffle the pool once per (size, icl) and slice
+        // pairwise-disjoint example sets from it.
+        std::vector<std::size_t> shuffled;
+        if (curation == Curation::Random) {
+          LMPEEL_CHECK_MSG(settings.disjoint_sets * icl <= pool.size(),
+                           "not enough data for disjoint in-context sets");
+          shuffled = pool;
+          util::Rng icl_rng(cell_stream(settings, size, curation, icl, 0));
+          icl_rng.shuffle(shuffled.begin(), shuffled.end());
+        }
         for (std::size_t set_id = 0; set_id < settings.disjoint_sets;
              ++set_id) {
-          Cell cell{size, curation, icl, set_id, {}, {}};
+          // Both curations share the query panel.
+          Cell cell{size, curation, icl, set_id, query_panel, {}};
           if (curation == Curation::Random) {
-            // Shared query panel; shuffle the pool once per (size, icl)
-            // and slice pairwise-disjoint example sets.
-            LMPEEL_CHECK_MSG(settings.disjoint_sets * icl <= pool.size(),
-                             "not enough data for disjoint in-context sets");
-            cell.query_indices = query_panel;
-            std::vector<std::size_t> shuffled = pool;
-            util::Rng icl_rng(cell_stream(settings, size, curation, icl, 0));
-            icl_rng.shuffle(shuffled.begin(), shuffled.end());
             const std::vector<std::size_t> shared(
                 shuffled.begin() + set_id * icl,
                 shuffled.begin() + (set_id + 1) * icl);
@@ -108,12 +126,8 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
             // "as well-defined by the ICL as possible" — its examples are
             // the nearest configurations by edit distance.  Disjoint set k
             // uses the k-th ring of each query's neighbourhood.
-            cell.query_indices = query_panel;
             cell.per_query_icl.reserve(query_panel.size());
-            for (const std::size_t q : query_panel) {
-              const auto neighbors = neighbor_order(data, q);
-              LMPEEL_CHECK(settings.disjoint_sets * max_icl <=
-                           neighbors.size());
+            for (const auto& neighbors : panel_neighbors) {
               cell.per_query_icl.emplace_back(
                   neighbors.begin() + set_id * icl,
                   neighbors.begin() + (set_id + 1) * icl);
@@ -148,11 +162,14 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
     const auto number_format =
         pipeline.config().prompt_options.number_format;
 
-    // Prompts are identical across seeds; encode once per query.
+    // Prompts are identical across seeds; encode once per query.  A Random
+    // cell's queries share one example list, so its ICL block is encoded
+    // once and each query appended to a copy (bit-identical to encode).
     std::vector<std::vector<int>> prompts;
     std::vector<std::vector<std::string>> icl_texts;
     prompts.reserve(cell.query_indices.size());
     icl_texts.reserve(cell.query_indices.size());
+    std::vector<int> shared_prefix;
     for (std::size_t q = 0; q < cell.query_indices.size(); ++q) {
       std::vector<perf::Sample> examples;
       std::vector<std::string> value_texts;
@@ -162,8 +179,14 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         value_texts.push_back(
             prompt::render_value(data[idx].runtime, number_format));
       }
-      prompts.push_back(builder.encode(tokenizer, examples,
-                                       data[cell.query_indices[q]].config));
+      const perf::Syr2kConfig& query = data[cell.query_indices[q]].config;
+      if (cell.curation == Curation::Random) {
+        if (q == 0) shared_prefix = builder.encode_prefix(tokenizer, examples);
+        prompts.push_back(shared_prefix);
+        builder.append_query(tokenizer, query, prompts.back());
+      } else {
+        prompts.push_back(builder.encode(tokenizer, examples, query));
+      }
       icl_texts.push_back(std::move(value_texts));
     }
 

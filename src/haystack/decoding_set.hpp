@@ -15,11 +15,27 @@
 // needle searches are built on).
 //
 // Sampler cost: each step's running-sum table is built once per set, O(K)
-// over the step's K candidates, and every Monte-Carlo draw is a binary
-// search over it, O(log K).  A cumulative table was chosen over an alias
-// table (Vose 1991) because, from the same uniform, it picks the same index
-// as Rng::categorical's linear scan and consumes the same one draw, so the
-// RNG stream and every recorded value set stay as they were.
+// over the step's K candidates, with a guide over K equal-width buckets of
+// the total (Chen & Asau 1974): a Monte-Carlo draw starts at its bucket's
+// first index and scans about two entries on average, O(1).  A cumulative
+// table was chosen over an alias table (Vose 1991) because, from the same
+// uniform, it picks the same index as Rng::categorical's linear scan and
+// consumes the same one draw, so the RNG stream and every recorded value
+// set stay as they were.
+//
+// Deposit cost: every candidate is classified once per set (digit group
+// with its value and width, ".", or termination), and a path is carried as
+// a DecimalLiteral — numbers, not text — so well-formedness is O(1) and
+// the value is one correctly rounded division (from_chars only for the
+// rare literal at or beyond 2^53 or 22 fraction digits).  Each sampled or
+// enumerated value is appended to a flat list, and a stable radix sort of
+// the values' bit patterns (O(n), a byte per pass) groups equal values and
+// yields the sorted output in one go, without a hash table that grows with
+// the set.  A value's weight is then summed over its group in list order:
+// for Monte-Carlo that adds 1/mc_samples once per hit, and for the exact
+// path it adds the path weights in depth-first order.  Both are the
+// additions, in the same order, that a per-value `mass[v] += w` deposit
+// makes, so every weight keeps its bits.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +50,8 @@
 
 namespace lmpeel::haystack {
 
-/// Running sums over one step's weights, for O(log K) categorical draws.
+/// Running sums over one step's weights, for expected O(1) categorical
+/// draws.
 class CumulativeTable {
  public:
   /// Every weight must be finite and >= 0, and their total > 0; checked
@@ -49,7 +66,44 @@ class CumulativeTable {
 
  private:
   std::vector<double> cdf_;
+  /// guide_[j]: first index whose running sum exceeds j / bucket_scale_.
+  std::vector<std::uint32_t> guide_;
+  double bucket_scale_ = 0.0;  ///< buckets per unit of weight
   std::size_t last_nonzero_ = 0;
+};
+
+/// A decimal literal built one value token at a time and held as numbers:
+/// its digits as an integer mantissa, how many of them follow the first
+/// dot, and where the dots are.  Tokens are digit groups or ".", so the
+/// literal is "digits '.' digits" exactly when it has one dot, neither
+/// first nor last.
+class DecimalLiteral {
+ public:
+  /// Appends a group of `count` digits spelling `value` (leading zeros
+  /// included in `count`, so value < 10^count).
+  void push_digits(int count, std::uint64_t value) noexcept;
+  void push_dot() noexcept;
+
+  /// digits '.' digits, nothing else.
+  bool well_formed() const noexcept {
+    return dots_ == 1 && !starts_with_dot_ && !ends_with_dot_;
+  }
+
+  /// The literal's value, when it converts exactly without text: the
+  /// mantissa is below 2^53 and at most 22 digits follow the dot.  Then
+  /// mantissa and 10^fraction are both exact doubles and IEEE division
+  /// rounds their quotient correctly, so the result equals from_chars on
+  /// the text.  nullopt otherwise (convert the text instead).
+  std::optional<double> value() const noexcept;
+
+ private:
+  std::uint64_t mantissa_ = 0;
+  std::uint32_t fraction_digits_ = 0;
+  std::uint32_t dots_ = 0;
+  bool empty_ = true;
+  bool starts_with_dot_ = false;
+  bool ends_with_dot_ = false;
+  bool long_mantissa_ = false;  ///< mantissa reached 2^53
 };
 
 struct DecodingOptions {

@@ -10,10 +10,13 @@ namespace lmpeel::haystack {
 
 ValueDistribution::ValueDistribution(std::vector<WeightedValue> values)
     : values_(std::move(values)) {
-  std::sort(values_.begin(), values_.end(),
-            [](const WeightedValue& a, const WeightedValue& b) {
-              return a.value < b.value;
-            });
+  // build_decoding_set already returns values in order.
+  const auto by_value = [](const WeightedValue& a, const WeightedValue& b) {
+    return a.value < b.value;
+  };
+  if (!std::is_sorted(values_.begin(), values_.end(), by_value)) {
+    std::sort(values_.begin(), values_.end(), by_value);
+  }
   double total = 0.0;
   for (const WeightedValue& v : values_) {
     LMPEEL_CHECK(v.weight >= 0.0);

@@ -265,7 +265,7 @@ void InductionLm::next_logits(std::span<const int> context,
 }
 
 void InductionLm::number_logits(const ContextView& view,
-                                std::span<float> out) const {
+                                std::span<float> out) {
   const auto& vocab = tokenizer_->vocab();
   const int space = tokenizer_->space_token();
   const int newline = tokenizer_->newline_token();
@@ -279,9 +279,18 @@ void InductionLm::number_logits(const ContextView& view,
   const std::size_t p = prefix.size();
   // Dense accumulator indexed by token id.  `touched` lists the ids that
   // received mass, in first-touch order; an id whose first addition was
-  // zero may appear twice, which only rewrites the same logit.
-  std::vector<double> weight(out.size(), 0.0);
-  std::vector<int> touched;
+  // zero may appear twice, which only rewrites the same logit.  The
+  // scratch outlives the call, so the previous call's entries are cleared
+  // first (also after a call that threw).
+  NumberScratch& scratch = number_scratch_;
+  std::vector<double>& weight = scratch.weight;
+  std::vector<int>& touched = scratch.touched;
+  if (weight.size() != out.size()) {
+    weight.assign(out.size(), 0.0);
+  } else {
+    for (const int token : touched) weight[token] = 0.0;
+  }
+  touched.clear();
   const auto add = [&](int token, double w) {
     if (weight[token] == 0.0) touched.push_back(token);
     weight[token] += w;
@@ -294,7 +303,8 @@ void InductionLm::number_logits(const ContextView& view,
   // machine never dead-ends after a prior-driven digit.
   const std::size_t n_icl = view.icl_values.size();
   double copy_total = 0.0;
-  std::vector<double> vote(n_icl, 0.0);
+  std::vector<double>& vote = scratch.vote;
+  vote.assign(n_icl, 0.0);
   for (std::size_t v = 0; v < n_icl; ++v) {
     const auto& tokens = view.icl_values[v].tokens;
     if (tokens.size() < p) continue;
@@ -340,8 +350,39 @@ void InductionLm::number_logits(const ContextView& view,
   // "appropriately reflects" output magnitude); fraction positions are
   // broad — that breadth is what produces the hundreds of selectable
   // tokens in Table II.
-  const auto add_neighborhood = [&](const std::string& digits, double mass,
-                                    bool integer_position) {
+  const bool at_integer = p == 0;
+  // Per-token scratch is indexed by token id; the previous call's kernel
+  // and anchor lists name the entries it may have left set.
+  std::vector<int>& kernel_of = scratch.kernel_of;
+  std::vector<int>& uses_left = scratch.uses_left;
+  if (kernel_of.size() != out.size()) {
+    kernel_of.assign(out.size(), -1);
+    uses_left.assign(out.size(), 0);
+  }
+  for (const Kernel& k : scratch.kernels) kernel_of[k.anchor] = -1;
+  std::vector<int>& anchors = scratch.anchors;
+  for (const int anchor : anchors) uses_left[anchor] = 0;
+  scratch.kernels.clear();
+  scratch.kernel_values.clear();
+  anchors.clear();
+  bool any_wide_anchor = false;  // a 3-digit group anchors this position
+  for (const auto& ref : view.icl_values) {
+    if (ref.tokens.size() <= p) continue;
+    const int t = ref.tokens[p];
+    if (!vocab.is_number(t)) continue;  // dot handled by the copy head
+    anchors.push_back(t);
+    if (vocab.text(t).size() == 3) any_wide_anchor = true;
+  }
+
+  // Each distinct anchor token's kernel is computed once per call: the
+  // token ids it covers, exp(-|d| / scale) for each distance |d| it
+  // reaches (one exp per distance, not per side) and the kernel's sum.
+  // Anchors sharing a token share the kernel; each anchor still adds its
+  // own contributions, in anchor order and ascending id, so every weight
+  // is summed exactly as when each anchor computed its own kernel.
+  const auto kernel_for = [&](int anchor) -> const Kernel& {
+    if (kernel_of[anchor] >= 0) return scratch.kernels[kernel_of[anchor]];
+    const std::string& digits = vocab.text(anchor);
     const int len = static_cast<int>(digits.size());
     const int value = std::stoi(digits);
     const int domain = len == 1 ? 10 : (len == 2 ? 100 : 1000);
@@ -352,7 +393,7 @@ void InductionLm::number_logits(const ContextView& view,
     // the paper observes the model "appropriately reflects" the output
     // magnitude there.
     double scale;
-    if (integer_position) {
+    if (at_integer) {
       scale = 0.10;
     } else if (len < 3) {
       // Trailing short groups carry the least-significant digits; the
@@ -366,46 +407,54 @@ void InductionLm::number_logits(const ContextView& view,
     // Mass below ~1e-6 relative cannot matter; bound the window.
     const int radius =
         std::min(domain, static_cast<int>(scale * 14.0) + 1);
+    const int lo = std::max(-radius, -value);
+    const int hi = std::min(radius, domain - 1 - value);
+    Kernel kernel;
+    kernel.anchor = anchor;
+    kernel.lo = lo;
+    kernel.hi = hi;
+    kernel.first_token = vocab.number_token(len, value + lo);
+    LMPEEL_CHECK(vocab.number_token(len, value + hi) ==
+                 kernel.first_token + (hi - lo));
+    kernel.offset = scratch.kernel_values.size();
+    for (int d = 0; d <= std::max(-lo, hi); ++d) {
+      scratch.kernel_values.push_back(std::exp(-d / scale));
+    }
     // Normalise the kernel so `mass` is the total prior mass contributed
     // by this anchor, independent of the smearing scale.
-    double kernel_sum = 0.0;
-    for (int d = -radius; d <= radius; ++d) {
-      const int w = value + d;
-      if (w < 0 || w >= domain) continue;
-      kernel_sum += std::exp(-std::abs(d) / scale);
-    }
-    for (int d = -radius; d <= radius; ++d) {
-      const int w = value + d;
-      if (w < 0 || w >= domain) continue;
-      add(vocab.number_token(len, w),
-          mass * std::exp(-std::abs(d) / scale) / kernel_sum);
-    }
+    const double* e = scratch.kernel_values.data() + kernel.offset;
+    for (int d = lo; d <= hi; ++d) kernel.sum += e[std::abs(d)];
+    kernel_of[anchor] = static_cast<int>(scratch.kernels.size());
+    scratch.kernels.push_back(kernel);
+    return scratch.kernels.back();
   };
 
-  const bool at_integer = p == 0;
-  double anchors = 0.0;
-  bool any_wide_anchor = false;  // a 3-digit group anchors this position
-  for (const auto& ref : view.icl_values) {
-    if (ref.tokens.size() <= p) continue;
-    const int t = ref.tokens[p];
-    if (!vocab.is_number(t)) continue;  // dot handled by the copy head
-    anchors += 1.0;
-    if (vocab.text(t).size() == 3) any_wide_anchor = true;
-  }
-  if (anchors > 0.0) {
-    for (const auto& ref : view.icl_values) {
-      if (ref.tokens.size() <= p) continue;
-      const int t = ref.tokens[p];
-      if (!vocab.is_number(t)) continue;
-      add_neighborhood(vocab.text(t), params_.prior_weight / anchors,
-                       at_integer);
+  if (!anchors.empty()) {
+    const double mass =
+        params_.prior_weight / static_cast<double>(anchors.size());
+    for (const int anchor : anchors) ++uses_left[anchor];
+    for (const int anchor : anchors) {
+      const Kernel& kernel = kernel_for(anchor);
+      const double* e = scratch.kernel_values.data() + kernel.offset;
+      for (int d = kernel.lo; d <= kernel.hi; ++d) {
+        add(kernel.first_token + (d - kernel.lo),
+            mass * e[std::abs(d)] / kernel.sum);
+      }
+      // After its token's last anchor, the newest kernel gives its storage
+      // back, so a token that anchors once holds none past its use.
+      if (--uses_left[anchor] == 0 &&
+          kernel_of[anchor] + 1 == static_cast<int>(scratch.kernels.size())) {
+        scratch.kernel_values.resize(kernel.offset);
+        kernel_of[anchor] = -1;
+        scratch.kernels.pop_back();
+      }
     }
     // Broad background over three-digit groups at fraction positions:
     // the long tail of the paper's per-position candidate sets.
     if (!at_integer && any_wide_anchor) {
-      for (int g = 0; g < 1000; ++g) {
-        add(vocab.number_token(3, g), params_.background3);
-      }
+      const int first = vocab.number_token(3, 0);
+      LMPEEL_CHECK(vocab.number_token(3, 999) == first + 999);
+      for (int g = 0; g < 1000; ++g) add(first + g, params_.background3);
     }
   }
 

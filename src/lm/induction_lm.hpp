@@ -116,7 +116,7 @@ class InductionLm final : public LanguageModel {
 
   void text_logits(std::span<const int> context, const ContextView& view,
                    std::span<float> out) const;
-  void number_logits(const ContextView& view, std::span<float> out) const;
+  void number_logits(const ContextView& view, std::span<float> out);
 
   /// Deviation script selection for this (seed, prompt); nullopt = none.
   std::optional<std::size_t> deviation_for(std::span<const int> context,
@@ -125,8 +125,34 @@ class InductionLm final : public LanguageModel {
   void apply_seed_jitter(std::span<const int> context,
                          std::span<float> logits) const;
 
+  /// One digit-prior anchor's smearing kernel: offsets d in [lo, hi] from
+  /// the anchor's value, over number tokens from first_token on.
+  struct Kernel {
+    int anchor = -1;
+    int lo = 0;
+    int hi = 0;
+    int first_token = 0;
+    /// Into NumberScratch::kernel_values, which holds exp(-|d| / scale)
+    /// for |d| = 0 .. max(-lo, hi).
+    std::size_t offset = 0;
+    double sum = 0.0;
+  };
+
+  /// number_logits' working memory, reused across calls.
+  struct NumberScratch {
+    std::vector<double> weight;  ///< per token id; zero outside `touched`
+    std::vector<int> touched;
+    std::vector<double> vote;
+    std::vector<int> anchors;
+    std::vector<int> kernel_of;  ///< token id -> kernels index, or -1
+    std::vector<int> uses_left;  ///< token id -> anchors still to add
+    std::vector<Kernel> kernels;
+    std::vector<double> kernel_values;
+  };
+
   const tok::Tokenizer* tokenizer_;
   InductionParams params_;
+  NumberScratch number_scratch_;
   std::uint64_t seed_ = 0;
 
   std::vector<int> marker_;  ///< token ids of "Performance:"

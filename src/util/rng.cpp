@@ -25,12 +25,6 @@ std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
   return mix64(a + 0x9e3779b97f4a7c15ULL * mix64(b));
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
@@ -38,23 +32,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept
     : Rng(hash_combine(seed, stream)) {}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
 
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();

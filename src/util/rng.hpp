@@ -46,10 +46,24 @@ class Rng {
   }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  // next() and uniform() are defined here so that hot sampling loops (a
+  // haystack Monte-Carlo draw per step per sample) inline them.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double uniform() noexcept;
+  /// Uniform in [0, 1): 53 random mantissa bits.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) noexcept;
   /// Uniform integer in [lo, hi] (inclusive); requires lo <= hi.
@@ -85,6 +99,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

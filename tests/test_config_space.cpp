@@ -33,6 +33,12 @@ TEST(ConfigSpace, TileRankMatchesGrid) {
   EXPECT_EQ(ConfigSpace::tile_rank(4), 0u);
   EXPECT_EQ(ConfigSpace::tile_rank(128), kNumTileValues - 1);
   EXPECT_THROW(ConfigSpace::tile_rank(17), std::runtime_error);
+  // Off both ends of the rank lookup table.
+  EXPECT_THROW(ConfigSpace::tile_rank(-4), std::runtime_error);
+  EXPECT_THROW(ConfigSpace::tile_rank(256), std::runtime_error);
+  for (std::size_t i = 0; i < kNumTileValues; ++i) {
+    EXPECT_EQ(ConfigSpace::tile_rank(kTileValues[i]), i);
+  }
 }
 
 TEST(EditDistance, IdentityAndSymmetry) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -466,6 +467,249 @@ TEST(BuildDecodingSet, MonteCarloMatchesLinearScanReferenceOnRealTraces) {
     ++compared;
   }
   EXPECT_GE(compared, 40u);
+}
+
+/// Reference copy of the exact path as it was written: a std::function
+/// depth-first walk that builds each path's text, checks it with
+/// reference_well_formed, parses it with util::parse_double and deposits
+/// into a hash map in visiting order.
+std::vector<WeightedValue> reference_exact(const lm::GenerationTrace& trace,
+                                           const tok::Tokenizer& tokenizer,
+                                           std::size_t first,
+                                           std::size_t last) {
+  const auto is_value_token = [&](int id) {
+    return tokenizer.is_number_token(id) || tokenizer.is_dot_token(id);
+  };
+  std::vector<std::vector<const lm::Candidate*>> cands;
+  std::vector<std::vector<double>> probs;
+  for (std::size_t s = first; s < last; ++s) {
+    std::vector<const lm::Candidate*> sc;
+    double total = 0.0;
+    for (const lm::Candidate& c : trace.step(s).candidates) {
+      sc.push_back(&c);
+      total += c.prob;
+    }
+    std::vector<double> sp;
+    for (const lm::Candidate* c : sc) sp.push_back(c->prob / total);
+    cands.push_back(std::move(sc));
+    probs.push_back(std::move(sp));
+  }
+  std::unordered_map<double, double> mass;
+  const auto deposit = [&](const std::string& text, double weight) {
+    if (!reference_well_formed(text)) return;
+    const auto v = util::parse_double(text);
+    if (v.has_value()) mass[*v] += weight;
+  };
+  std::string text;
+  std::function<void(std::size_t, double)> dfs = [&](std::size_t s,
+                                                     double weight) {
+    if (s == cands.size()) {
+      deposit(text, weight);
+      return;
+    }
+    for (std::size_t c = 0; c < cands[s].size(); ++c) {
+      const double w = weight * probs[s][c];
+      if (w <= 0.0) continue;
+      if (is_value_token(cands[s][c]->token)) {
+        const std::size_t keep = text.size();
+        text += tokenizer.token_text(cands[s][c]->token);
+        dfs(s + 1, w);
+        text.resize(keep);
+      } else {
+        deposit(text, w);
+      }
+    }
+  };
+  dfs(0, 1.0);
+  std::vector<WeightedValue> out;
+  for (const auto& [value, weight] : mass) out.push_back({value, weight});
+  std::sort(out.begin(), out.end(),
+            [](const WeightedValue& a, const WeightedValue& b) {
+              return a.value < b.value;
+            });
+  return out;
+}
+
+/// Does any step of [first, last) offer a candidate that ends the value?
+bool has_termination_candidate(const lm::GenerationTrace& trace,
+                               const tok::Tokenizer& tz, std::size_t first,
+                               std::size_t last) {
+  for (std::size_t s = first; s < last; ++s) {
+    for (const lm::Candidate& c : trace.step(s).candidates) {
+      if (!tz.is_number_token(c.token) && !tz.is_dot_token(c.token)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void expect_same_values(const std::vector<WeightedValue>& got,
+                        const std::vector<WeightedValue>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << label << " #" << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << label << " #" << i;
+  }
+}
+
+TEST(BuildDecodingSet, ExactMatchesDepthFirstReferenceOnRealTraces) {
+  tok::Tokenizer tz;
+  lm::InductionLm model(tz);
+  DecodingOptions options;
+  options.exact_limit = 50000;
+  std::size_t compared = 0, with_termination = 0;
+  for (const perf::SizeClass size :
+       {perf::SizeClass::SM, perf::SizeClass::XL}) {
+    const perf::Dataset data =
+        perf::Dataset::generate(perf::Syr2kModel{}, size, 42);
+    const prompt::PromptBuilder builder(size);
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      util::Rng rng(seed, 0xe8ac7);
+      const std::size_t icl = 1 + seed % 12;
+      const auto sets = perf::disjoint_subsets(data.size(), 1, icl, rng);
+      std::vector<perf::Sample> examples;
+      for (const std::size_t i : sets[0]) examples.push_back(data[i]);
+      const auto ids = builder.encode(
+          tz, examples, data[rng.uniform_int(0, data.size() - 1)].config);
+      lm::GenerateOptions gen;
+      gen.sampler = {1.0, 0, 1.0};
+      gen.stop_token = tz.newline_token();
+      gen.max_tokens = 48;
+      gen.seed = seed;
+      const auto generation = lm::generate(model, ids, gen);
+      const auto span = find_value_span(generation.trace, tz);
+      if (!span.has_value()) continue;  // a refusal deviation
+      const auto set = build_decoding_set(generation.trace, tz, span->first,
+                                          span->second, options);
+      if (!set.exact) continue;
+      const std::string label =
+          std::string(perf::size_name(size)) + " seed " + std::to_string(seed);
+      expect_same_values(set.values,
+                         reference_exact(generation.trace, tz, span->first,
+                                         span->second),
+                         label);
+      ++compared;
+      if (has_termination_candidate(generation.trace, tz, span->first,
+                                    span->second)) {
+        ++with_termination;
+      }
+    }
+  }
+  EXPECT_GE(compared, 30u);
+  EXPECT_GE(with_termination, 10u);
+}
+
+TEST(BuildDecodingSet, ExactMatchesReferenceOnLongLiterals) {
+  // Literals past the exact-division range (a mantissa of 2^53 or more, or
+  // more than 22 fraction digits) go through from_chars; the results must
+  // not change either way.  Termination candidates end some paths early.
+  tok::Tokenizer tz;
+  const std::vector<std::vector<std::vector<std::string>>> cases = {
+      // 9007199254740991 = 2^53 - 1 and 9007199254740992 = 2^53.
+      {{"9"}, {"."}, {"007"}, {"199"}, {"254"}, {"740"}, {"991", "992"}},
+      {{"999"}, {"999"}, {"999"}, {"."}, {"999"}, {"999", "\n"},
+       {"999", "998"}},
+      {{"0"}, {"."}, {"000"}, {"000"}, {"000"}, {"000"}, {"000"},
+       {"001", "01", "1", "\n"}, {"25", "5", "\n"}},
+      {{"1"}, {"."}, {"5"}, {"000", "\n"}, {"000"}, {"000"}, {"000"},
+       {"000"}, {"000"}, {"000", "0"}},
+  };
+  DecodingOptions options;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto trace = synthetic_trace(tz, cases[c]);
+    const std::size_t steps = cases[c].size();
+    const auto set = build_decoding_set(trace, tz, 0, steps, options);
+    ASSERT_TRUE(set.exact);
+    expect_same_values(set.values, reference_exact(trace, tz, 0, steps),
+                       "case " + std::to_string(c));
+  }
+}
+
+/// Builds `text` (digit groups and dots) into a DecimalLiteral.
+DecimalLiteral literal_of(const std::vector<std::string>& groups) {
+  DecimalLiteral literal;
+  for (const std::string& g : groups) {
+    if (g == ".") {
+      literal.push_dot();
+    } else {
+      literal.push_digits(static_cast<int>(g.size()),
+                          static_cast<std::uint64_t>(std::stoull(g)));
+    }
+  }
+  return literal;
+}
+
+TEST(DecimalLiteral, ExactDivisionMatchesParseDouble) {
+  const std::vector<std::string> groups = {
+      "0",  "5",   "9",   "00",  "07",  "42",  "99",
+      "000", "001", "050", "123", "500", "999"};
+  std::size_t checked = 0;
+  for (const std::string& whole : groups) {
+    std::vector<std::vector<std::string>> fractions;
+    for (const std::string& a : groups) {
+      fractions.push_back({a});
+      for (const std::string& b : groups) {
+        fractions.push_back({a, b});
+        for (const std::string& c : groups) fractions.push_back({a, b, c});
+      }
+    }
+    for (const auto& fraction : fractions) {
+      std::vector<std::string> parts = {whole, "."};
+      std::string text = whole + ".";
+      for (const std::string& g : fraction) {
+        parts.push_back(g);
+        text += g;
+      }
+      const DecimalLiteral literal = literal_of(parts);
+      ASSERT_TRUE(literal.well_formed()) << text;
+      const auto fast = literal.value();
+      ASSERT_TRUE(fast.has_value()) << text;
+      ASSERT_EQ(*fast, *util::parse_double(text)) << text;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 13u * (13u + 13u * 13u + 13u * 13u * 13u));
+}
+
+TEST(DecimalLiteral, LongLiteralsFallBackToText) {
+  // 15 and 16 significant digits below 2^53 still divide exactly.
+  EXPECT_EQ(*literal_of({"123", ".", "456", "789", "012", "345"}).value(),
+            *util::parse_double("123.456789012345"));
+  EXPECT_EQ(*literal_of({"9", ".", "007", "199", "254", "740", "991"}).value(),
+            *util::parse_double("9.007199254740991"));
+  // 2^53 and beyond: no exact mantissa.
+  EXPECT_FALSE(
+      literal_of({"9", ".", "007", "199", "254", "740", "992"}).value());
+  EXPECT_FALSE(literal_of({"123", ".", "456", "789", "012", "345", "678"})
+                   .value());
+  // 22 fraction digits divide exactly; 23 do not.
+  const std::vector<std::string> f22 = {"0",   ".",   "000", "000", "000",
+                                        "000", "000", "000", "000", "1"};
+  EXPECT_EQ(*literal_of(f22).value(),
+            *util::parse_double("0.0000000000000000000001"));
+  std::vector<std::string> f23 = f22;
+  f23.back() = "01";
+  EXPECT_FALSE(literal_of(f23).value());
+  // A group too long for any mantissa.
+  DecimalLiteral wide;
+  wide.push_digits(1, 1);
+  wide.push_dot();
+  wide.push_digits(20, 0);
+  EXPECT_TRUE(wide.well_formed());
+  EXPECT_FALSE(wide.value());
+}
+
+TEST(DecimalLiteral, WellFormedIsDigitsDotDigits) {
+  EXPECT_TRUE(literal_of({"0", ".", "5"}).well_formed());
+  EXPECT_TRUE(literal_of({"12", ".", "000", "5"}).well_formed());
+  EXPECT_FALSE(DecimalLiteral{}.well_formed());
+  EXPECT_FALSE(literal_of({"12"}).well_formed());
+  EXPECT_FALSE(literal_of({".", "5"}).well_formed());
+  EXPECT_FALSE(literal_of({"5", "."}).well_formed());
+  EXPECT_FALSE(literal_of({"5", ".", "5", ".", "5"}).well_formed());
+  EXPECT_FALSE(literal_of({"5", ".", "."}).well_formed());
 }
 
 }  // namespace

@@ -241,37 +241,40 @@ TEST_F(InductionFixture, EosAfterCompletedValue) {
   EXPECT_EQ(sample_greedy(logits), tok::kEos);
 }
 
-// Bit-level regression pin for next_logits.  30 sweep-shaped prompts
-// (random and minimal-edit curation, 1 to 100 examples) are generated to
-// completion; every logit bit pattern along each prompt + continuation is
-// folded into one hash.  The pinned value was computed before the number
-// logits moved from a hashed token map to arithmetic ids and a dense
-// accumulator, so any change to the values or their order of summation
-// shows up here.
-TEST_F(InductionFixture, NextLogitsBitPatternsArePinned) {
-  InductionLm model(tokenizer());
-  const prompt::PromptBuilder builder(perf::SizeClass::SM);
+/// Folds every logit bit pattern along 30 sweep-shaped prompts (random and
+/// minimal-edit curation, 1 to 100 examples), each generated to completion,
+/// into one hash.
+std::uint64_t logit_bit_hash(const tok::Tokenizer& tz,
+                             const perf::Dataset& data, perf::SizeClass size,
+                             std::size_t& calls) {
+  InductionLm model(tz);
+  const prompt::PromptBuilder builder(size);
   const std::size_t counts[] = {1, 5, 10, 25, 50, 100};
   std::vector<float> logits(model.vocab_size());
   std::uint64_t h = 0;
-  std::size_t calls = 0;
   for (std::uint64_t k = 0; k < 30; ++k) {
     const std::size_t icl = counts[k % 6];
     std::vector<perf::Sample> shots;
-    std::size_t query = (k * 331 + 17) % data().size();
+    std::size_t query = (k * 331 + 17) % data.size();
     if (k % 2 == 0) {
-      shots = examples(icl, 100 + k);
+      util::Rng rng(100 + k);
+      const auto sets = perf::disjoint_subsets(data.size(), 1, icl, rng);
+      for (const std::size_t i : sets[0]) shots.push_back(data[i]);
     } else {
       util::Rng rng(200 + k);
-      const auto nbh = perf::minimal_edit_neighborhood(data(), icl, rng);
+      const auto nbh = perf::minimal_edit_neighborhood(data, icl, rng);
       query = nbh[0];
       for (std::size_t i = 1; i < nbh.size(); ++i) {
-        shots.push_back(data()[nbh[i]]);
+        shots.push_back(data[nbh[i]]);
       }
     }
-    const auto gen = respond(model, shots, data()[query].config, k);
-    std::vector<int> context =
-        builder.encode(tokenizer(), shots, data()[query].config);
+    std::vector<int> context = builder.encode(tz, shots, data[query].config);
+    GenerateOptions opt;
+    opt.sampler = {1.0, 0, 1.0};
+    opt.stop_token = tz.newline_token();
+    opt.max_tokens = 48;
+    opt.seed = k;
+    const auto gen = generate(model, context, opt);
     model.set_seed(k);
     for (std::size_t t = 0; t <= gen.tokens.size(); ++t) {
       model.next_logits(context, logits);
@@ -284,8 +287,31 @@ TEST_F(InductionFixture, NextLogitsBitPatternsArePinned) {
       if (t < gen.tokens.size()) context.push_back(gen.tokens[t]);
     }
   }
+  return h;
+}
+
+// Bit-level regression pins for next_logits: any change to a float logit
+// shows up here.  The SM pin was computed
+// before the number logits moved from a hashed token map to arithmetic ids
+// and a dense accumulator; both pins predate the per-call kernel memo of
+// the digit prior.  XL values carry more digit groups per value than SM
+// ones, so its prompts reach fraction positions the SM ones do not.
+TEST_F(InductionFixture, NextLogitsBitPatternsArePinned) {
+  std::size_t calls = 0;
+  const std::uint64_t h =
+      logit_bit_hash(tokenizer(), data(), perf::SizeClass::SM, calls);
   EXPECT_GT(calls, 300u);
   EXPECT_EQ(h, 0x28de5227f0a2031bULL) << std::hex << "0x" << h;
+}
+
+TEST_F(InductionFixture, XlNextLogitsBitPatternsArePinned) {
+  static const perf::Dataset xl =
+      perf::Dataset::generate(perf::Syr2kModel{}, perf::SizeClass::XL, 42);
+  std::size_t calls = 0;
+  const std::uint64_t h =
+      logit_bit_hash(tokenizer(), xl, perf::SizeClass::XL, calls);
+  EXPECT_GT(calls, 300u);
+  EXPECT_EQ(h, 0x9a152ffe9cbb8c97ULL) << std::hex << "0x" << h;
 }
 
 // Property sweep across in-context example counts: every count must yield

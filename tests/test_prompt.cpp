@@ -110,6 +110,36 @@ TEST(Template, EncodePrefixPlusAppendQueryMatchesEncode) {
   }
 }
 
+TEST(Template, EncodePrefixSplitHoldsForSweepShapedPrompts) {
+  // The sweep encodes a Random cell's shared ICL block once and appends
+  // each query; check the split at its ICL counts on both size classes,
+  // with BPE merges trained on prompt text as the pipeline's are.
+  for (const perf::SizeClass size :
+       {perf::SizeClass::SM, perf::SizeClass::XL}) {
+    const perf::Dataset data =
+        perf::Dataset::generate(perf::Syr2kModel{}, size, 42);
+    const PromptBuilder builder(size);
+    tok::Tokenizer tz;
+    tz.train_bpe(builder.system_text() + builder.user_text(
+                                             {data.samples().data(), 20},
+                                             data[7].config),
+                 300);
+    for (const std::size_t icl : {1u, 10u, 100u}) {
+      std::vector<perf::Sample> examples;
+      for (std::size_t i = 0; i < icl; ++i) {
+        examples.push_back(data[(i * 97 + icl) % data.size()]);
+      }
+      const auto prefix = builder.encode_prefix(tz, examples);
+      for (const std::size_t q : {3u, 4321u}) {
+        auto split_ids = prefix;
+        builder.append_query(tz, data[q].config, split_ids);
+        EXPECT_EQ(split_ids, builder.encode(tz, examples, data[q].config))
+            << perf::size_name(size) << " icl " << icl << " query " << q;
+      }
+    }
+  }
+}
+
 // ---- parser ---------------------------------------------------------------
 
 TEST(Parser, PlainValue) {
