@@ -1,25 +1,30 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation (integer and fraction
 // positions), transformer forward pass, the training backward kernels and
-// one training sequence, GBT training, syr2k model evaluation, dataset
-// generation, haystack enumeration (Monte-Carlo and exact) and the
-// edit-distance neighbour order.  These validate that
+// one training sequence, attention forward and backward, the AdamW step,
+// BPE training, GBT training, syr2k model evaluation, dataset generation,
+// haystack enumeration (Monte-Carlo and exact) and the edit-distance
+// neighbour order.  These validate that
 // the HPC-parallel substrate is fast enough for the paper-scale sweeps and
 // catch performance regressions.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
 #include "haystack/decoding_set.hpp"
+#include "lm/adamw.hpp"
+#include "lm/attention.hpp"
 #include "lm/corpus.hpp"
 #include "lm/generate.hpp"
 #include "lm/tensor.hpp"
 #include "lm/transformer.hpp"
 #include "perf/dataset.hpp"
 #include "prompt/render.hpp"
+#include "tok/bpe.hpp"
 
 namespace {
 
@@ -183,6 +188,99 @@ void BM_TrainSequence(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * seq.tokens.size()));
 }
 BENCHMARK(BM_TrainSequence)->Unit(benchmark::kMillisecond);
+
+// Args {head_dim, T}: one decode-shaped query over T cached keys (rows
+// head_dim * 6 floats apart, the serve_mixed KV layout at head_dim 64).
+// Items are keys.
+void BM_AttendRow(benchmark::State& state) {
+  const auto hd = static_cast<std::size_t>(state.range(0));
+  const auto t_len = static_cast<std::size_t>(state.range(1));
+  const std::size_t stride = 6 * hd;
+  util::Rng rng(4);
+  lm::Tensor k(t_len, stride), v(t_len, stride), q(1, hd);
+  k.randomize(rng, 1.0f);
+  v.randomize(rng, 1.0f);
+  q.randomize(rng, 1.0f);
+  const mem::KvSpan span{k.data(), v.data(), t_len};
+  std::vector<float> prow(t_len), ctx(hd);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  for (auto _ : state) {
+    lm::attend_row(q.data(), &span, 1, stride, 2 * hd, t_len, hd, scale,
+                   prow.data(), ctx.data());
+    benchmark::DoNotOptimize(ctx.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * t_len));
+}
+BENCHMARK(BM_AttendRow)
+    ->Args({16, 96})
+    ->Args({16, 192})
+    ->Args({16, 408})
+    ->Args({64, 96})
+    ->Args({64, 192})
+    ->Args({64, 408});
+
+// The attention backward of one train_icl layer: 70 tokens, d_model 64,
+// 4 heads, with the forward's probabilities.  Items are tokens.
+void BM_AttentionBackward(benchmark::State& state) {
+  constexpr std::size_t kT = 70, kD = 64, kHeads = 4, kHd = kD / kHeads;
+  util::Rng rng(5);
+  lm::Tensor qkv(kT, 3 * kD), dctx(kT, kD), ctx(kT, kD), dqkv(kT, 3 * kD);
+  qkv.randomize(rng, 1.0f);
+  dctx.randomize(rng, 0.1f);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(kHd));
+  const mem::KvSpan span{qkv.data() + kD, qkv.data() + 2 * kD, kT};
+  std::vector<lm::Tensor> probs(kHeads, lm::Tensor(kT, kT));
+  for (std::size_t h = 0; h < kHeads; ++h) {
+    lm::attend_rows(qkv.data() + h * kHd, 3 * kD, &span, 1, 3 * kD, h * kHd,
+                    0, kT, kHd, scale, probs[h].data(), kT,
+                    ctx.data() + h * kHd, kD);
+  }
+  for (auto _ : state) {
+    dqkv.zero();
+    lm::attention_backward(qkv, probs, dctx, scale, dqkv);
+    benchmark::DoNotOptimize(dqkv.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kT));
+}
+BENCHMARK(BM_AttentionBackward);
+
+// One AdamW step over the lmbench train_icl model's parameters.  Items are
+// parameters.
+void BM_AdamWStep(benchmark::State& state) {
+  const tok::Tokenizer tokenizer;
+  lm::TransformerConfig config;
+  config.vocab = tokenizer.vocab_size();
+  config.d_model = 64;
+  config.n_head = 4;
+  config.n_layer = 2;
+  config.max_seq = 96;
+  lm::TransformerLm model(config, 1);
+  util::Rng rng(6);
+  std::size_t n = 0;
+  for (lm::Tensor* g : model.gradients()) {
+    g->randomize(rng, 0.01f);
+    n += g->size();
+  }
+  lm::AdamW optimizer(model.parameters(), model.gradients(), {});
+  for (auto _ : state) optimizer.step(1e-4);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_AdamWStep);
+
+// BPE training on the Pipeline's corpus (400 merges), the bulk of
+// core::Pipeline's constructor.
+void BM_BpeTrain(benchmark::State& state) {
+  const core::PipelineConfig config;
+  const std::string corpus = core::Pipeline::bpe_corpus(config);
+  for (auto _ : state) {
+    tok::Vocab vocab;
+    tok::Bpe bpe;
+    bpe.train(corpus, vocab, config.bpe_merges);
+    benchmark::DoNotOptimize(bpe.merge_count());
+  }
+}
+BENCHMARK(BM_BpeTrain)->Unit(benchmark::kMillisecond);
 
 void BM_GbtFit(benchmark::State& state) {
   auto& pipeline = shared_pipeline();

@@ -7,14 +7,16 @@ namespace lmpeel::core {
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   obs::Span span("core.pipeline_init");
-  // Train BPE on a deterministic corpus assembled from the prompt
-  // templates themselves, so the tokenizer sees exactly the vocabulary the
-  // experiments use (and the "Performance:" marker tokenises stably).
+  tokenizer_.train_bpe(bpe_corpus(config_), config_.bpe_merges);
+  model_ = std::make_unique<lm::InductionLm>(tokenizer_, config_.lm_params);
+}
+
+std::string Pipeline::bpe_corpus(const PipelineConfig& config) {
   std::string corpus;
-  util::Rng rng(config_.dataset_seed, 0xb9e);
+  util::Rng rng(config.dataset_seed, 0xb9e);
   const perf::ConfigSpace space;
   for (const perf::SizeClass size : {perf::SizeClass::SM, perf::SizeClass::XL}) {
-    const prompt::PromptBuilder pb(size, config_.prompt_options);
+    const prompt::PromptBuilder pb(size, config.prompt_options);
     corpus += pb.system_text();
     corpus += '\n';
     corpus += pb.problem_text();
@@ -36,8 +38,7 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
         "More profiling data would be required to estimate this "
         "configuration's performance.\n";
   }
-  tokenizer_.train_bpe(corpus, config_.bpe_merges);
-  model_ = std::make_unique<lm::InductionLm>(tokenizer_, config_.lm_params);
+  return corpus;
 }
 
 const perf::Dataset& Pipeline::dataset(perf::SizeClass size) {

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "lm/induction_lm.hpp"
 #include "perf/dataset.hpp"
@@ -23,6 +24,11 @@ struct PipelineConfig {
 class Pipeline {
  public:
   explicit Pipeline(PipelineConfig config = {});
+
+  /// The deterministic corpus the constructor trains BPE on: the prompt
+  /// templates themselves, so the tokenizer sees exactly the vocabulary
+  /// the experiments use (and the "Performance:" marker tokenises stably).
+  static std::string bpe_corpus(const PipelineConfig& config);
 
   const PipelineConfig& config() const noexcept { return config_; }
   const tok::Tokenizer& tokenizer() const noexcept { return tokenizer_; }

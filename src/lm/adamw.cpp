@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "lm/f32_kernels.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 
@@ -42,26 +43,27 @@ void AdamW::step(double lr_override) {
     const double norm = gradient_norm();
     if (norm > config_.clip_norm) clip_scale = config_.clip_norm / norm;
   }
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-
+  const AdamWStepParams params{
+      .clip_scale = clip_scale,
+      .beta1 = config_.beta1,
+      .beta2 = config_.beta2,
+      .one_minus_beta1 = 1.0 - config_.beta1,
+      .one_minus_beta2 = 1.0 - config_.beta2,
+      .bias_correction1 =
+          1.0 - std::pow(config_.beta1, static_cast<double>(t_)),
+      .bias_correction2 =
+          1.0 - std::pow(config_.beta2, static_cast<double>(t_)),
+      .eps = config_.eps,
+      .weight_decay = config_.weight_decay,
+      .lr = lr,
+  };
+  // The per-element update runs in the dispatched per-arch copy, lanes
+  // across elements (lm/f32_kernels.hpp).
+  const F32Kernels& kernels = f32_kernels();
   for (std::size_t p = 0; p < params_.size(); ++p) {
-    float* w = params_[p]->data();
-    const float* g = grads_[p]->data();
-    std::vector<float>& m = m_[p];
-    std::vector<float>& v = v_[p];
-    for (std::size_t i = 0; i < params_[p]->size(); ++i) {
-      const double gi = static_cast<double>(g[i]) * clip_scale;
-      m[i] = static_cast<float>(config_.beta1 * m[i] +
-                                (1.0 - config_.beta1) * gi);
-      v[i] = static_cast<float>(config_.beta2 * v[i] +
-                                (1.0 - config_.beta2) * gi * gi);
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      double update = mhat / (std::sqrt(vhat) + config_.eps);
-      update += config_.weight_decay * static_cast<double>(w[i]);
-      w[i] = static_cast<float>(w[i] - lr * update);
-    }
+    kernels.adamw_update(params_[p]->data(), grads_[p]->data(),
+                         m_[p].data(), v_[p].data(), params_[p]->size(),
+                         params);
   }
 }
 

@@ -1,0 +1,26 @@
+// AVX-512 copy of the f32 kernels (16 float lanes).  Compiled with
+// -mavx512f -mavx512bw -mavx512vl -mavx512dq -mf16c (src/CMakeLists.txt);
+// falls back to the baseline table when the toolchain lacks those flags.
+#include "lm/f32_kernels.hpp"
+
+#if defined(__AVX512F__)
+
+#include "lm/f32_kernels_impl.hpp"
+
+namespace lmpeel::lm::detail {
+
+const F32Kernels& avx512_f32_kernels() {
+  return F32Impl<util::Arch::kAvx512>::table();
+}
+
+}  // namespace lmpeel::lm::detail
+
+#else
+
+namespace lmpeel::lm::detail {
+
+const F32Kernels& avx512_f32_kernels() { return scalar_f32_kernels(); }
+
+}  // namespace lmpeel::lm::detail
+
+#endif

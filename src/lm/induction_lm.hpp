@@ -91,6 +91,14 @@ class InductionLm final : public LanguageModel {
 
   const InductionParams& params() const noexcept { return params_; }
 
+  /// Test-only view of the latest number_logits call's double weights,
+  /// indexed by token id (zero for untouched ids; empty before the first
+  /// call).  The float logits round these, so only a pin over them sees
+  /// the order in which the digit prior adds its doubles.
+  const std::vector<double>& number_weights_for_testing() const noexcept {
+    return number_scratch_.weight;
+  }
+
  private:
   /// One in-context value: its token ids and where it ended in the context.
   struct NumberRef {

@@ -38,10 +38,10 @@ void add_into(Tensor& dst, const Tensor& src) {
   for (std::size_t i = 0; i < dst.size(); ++i) d[i] += s[i];
 }
 
-// The per-row kernels shared between forward(), decode_batch() and the
-// quantized backend (attend_row / tied_head_row / embed_row) live in
-// lm/attention.cpp — one noinline machine-code copy for every caller, which
-// is what the bit-identity guarantees rest on.
+// Attention (forward and backward) and the per-row kernels shared with
+// decode_batch() and the quantized backend live in lm/attention.cpp: every
+// caller runs the one dispatched copy per process, which is what the
+// bit-identity guarantees rest on.
 
 }  // namespace
 
@@ -173,14 +173,12 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
                                t_len};
     for (std::size_t h = 0; h < n_head; ++h) {
       Tensor& probs = lc.probs[h];
-      // Zero-initialised; attend_row fills [0, t] per row, the causal
-      // remainder stays zero.
+      // Zero-initialised; row t fills [0, t], the causal remainder stays
+      // zero.
       probs = Tensor(t_len, t_len);
-      for (std::size_t t = 0; t < t_len; ++t) {
-        attend_row(lc.qkv.data() + t * 3 * d + h * hd, &qkv_span, 1, 3 * d,
-                   h * hd, t + 1, hd, scale, probs.data() + t * t_len,
-                   lc.ctx.data() + t * d + h * hd);
-      }
+      attend_rows(lc.qkv.data() + h * hd, 3 * d, &qkv_span, 1, 3 * d, h * hd,
+                  0, t_len, hd, scale, probs.data(), t_len,
+                  lc.ctx.data() + h * hd, d);
     }
 
     Tensor attn(t_len, d);
@@ -327,7 +325,7 @@ void TransformerLm::prefill_from(KvCache& cache, std::span<const int> suffix,
 
     // Append every suffix K/V row before attending: row t must see keys
     // for positions [0, base+t], all of which are in the cache once rows
-    // 0..t are appended (attend_row then reads a strict prefix of it).
+    // 0..t are appended (attend_rows then reads a strict prefix of it).
     if (cache.paged()) {
       for (std::size_t t = 0; t < s_len; ++t) {
         const float* row = qkv.data() + t * 3 * d;
@@ -348,15 +346,11 @@ void TransformerLm::prefill_from(KvCache& cache, std::span<const int> suffix,
     }
 
     Tensor ctx(s_len, d);
-    for (std::size_t t = 0; t < s_len; ++t) {
-      const std::size_t t_len = base + t + 1;
-      prow.resize(t_len);
-      const float* row = qkv.data() + t * 3 * d;
-      for (std::size_t h = 0; h < n_head; ++h) {
-        attend_row(row + h * hd, spans.data(), spans.size(), d, h * hd,
-                   t_len, hd, scale, prow.data(),
-                   ctx.data() + t * d + h * hd);
-      }
+    prow.resize(base + s_len);
+    for (std::size_t h = 0; h < n_head; ++h) {
+      attend_rows(qkv.data() + h * hd, 3 * d, spans.data(), spans.size(), d,
+                  h * hd, base, s_len, hd, scale, prow.data(), 0,
+                  ctx.data() + h * hd, d);
     }
 
     Tensor attn(s_len, d);
@@ -748,43 +742,7 @@ double TransformerLm::loss_and_backward(
     bias_grad(dx2, layer.d_b_o);
 
     Tensor dqkv(t_len, 3 * d);
-    for (std::size_t h = 0; h < n_head; ++h) {
-      const Tensor& probs = lc.probs[h];
-      const std::size_t qo = h * hd;
-      const std::size_t ko = d + h * hd;
-      const std::size_t vo = 2 * d + h * hd;
-      for (std::size_t t = 0; t < t_len; ++t) {
-        const float* dctx_t = dctx.data() + t * d + h * hd;
-        const float* prow = probs.data() + t * t_len;
-        // dp[t,u] and dv accumulation
-        float dp_row_dot = 0.0f;
-        std::vector<float> dp(t + 1);
-        for (std::size_t u = 0; u <= t; ++u) {
-          const float* vv = lc.qkv.data() + u * 3 * d + vo;
-          float acc = 0.0f;
-          for (std::size_t c = 0; c < hd; ++c) acc += dctx_t[c] * vv[c];
-          dp[u] = acc;
-          dp_row_dot += prow[u] * acc;
-          float* dv = dqkv.data() + u * 3 * d + vo;
-          for (std::size_t c = 0; c < hd; ++c) {
-            dv[c] += prow[u] * dctx_t[c];
-          }
-        }
-        // softmax backward -> dscores, then dq/dk
-        const float* q = lc.qkv.data() + t * 3 * d + qo;
-        float* dq = dqkv.data() + t * 3 * d + qo;
-        for (std::size_t u = 0; u <= t; ++u) {
-          const float ds = prow[u] * (dp[u] - dp_row_dot) * scale;
-          if (ds == 0.0f) continue;
-          const float* k = lc.qkv.data() + u * 3 * d + ko;
-          float* dk = dqkv.data() + u * 3 * d + ko;
-          for (std::size_t c = 0; c < hd; ++c) {
-            dq[c] += ds * k[c];
-            dk[c] += ds * q[c];
-          }
-        }
-      }
-    }
+    attention_backward(lc.qkv, lc.probs, dctx, scale, dqkv);
 
     Tensor da(t_len, d);
     matmul_grad_a(dqkv, layer.w_qkv, da);

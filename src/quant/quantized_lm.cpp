@@ -250,15 +250,11 @@ void QuantizedLm::extend(lm::KvCache& cache, std::span<const int> suffix,
     }
 
     lm::Tensor ctx(s_len, d);
-    for (std::size_t t = 0; t < s_len; ++t) {
-      const std::size_t t_len = base + t + 1;
-      prow.resize(t_len);
-      const float* row = qkv.data() + t * 3 * d;
-      for (std::size_t h = 0; h < n_head; ++h) {
-        lm::attend_row(row + h * hd, spans.data(), spans.size(), d, h * hd,
-                       t_len, hd, scale, prow.data(),
-                       ctx.data() + t * d + h * hd);
-      }
+    prow.resize(base + s_len);
+    for (std::size_t h = 0; h < n_head; ++h) {
+      lm::attend_rows(qkv.data() + h * hd, 3 * d, spans.data(), spans.size(),
+                      d, h * hd, base, s_len, hd, scale, prow.data(), 0,
+                      ctx.data() + h * hd, d);
     }
 
     lm::Tensor attn(s_len, d);

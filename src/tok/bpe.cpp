@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <istream>
-#include <ostream>
+#include <iterator>
 #include <limits>
-#include <map>
+#include <ostream>
 
 #include "tok/pretokenize.hpp"
 #include "util/check.hpp"
@@ -43,34 +43,59 @@ void Bpe::train(const std::string& corpus, Vocab& vocab,
               return a.tokens < b.tokens;
             });
 
+  // Adjacent-pair counts keyed by pair_key, updated incrementally: a merge
+  // only changes the words that contain its pair.  Token texts are unique
+  // per id, so an id pair stands for exactly one text pair; texts are
+  // compared only to break count ties, which keeps the merge list that of
+  // a (text pair)-ordered recount.
+  std::unordered_map<std::uint64_t, std::size_t> pair_counts;
+  const auto add_pairs = [&](const WordState& w) {
+    for (std::size_t i = 0; i + 1 < w.tokens.size(); ++i) {
+      pair_counts[pair_key(w.tokens[i], w.tokens[i + 1])] += w.count;
+    }
+  };
+  const auto remove_pairs = [&](const WordState& w) {
+    for (std::size_t i = 0; i + 1 < w.tokens.size(); ++i) {
+      const auto it = pair_counts.find(pair_key(w.tokens[i], w.tokens[i + 1]));
+      it->second -= w.count;
+      if (it->second == 0) pair_counts.erase(it);
+    }
+  };
+  for (const WordState& w : words) add_pairs(w);
+
+  const auto left_of = [](std::uint64_t key) {
+    return static_cast<int>(static_cast<std::uint32_t>(key >> 32));
+  };
+  const auto right_of = [](std::uint64_t key) {
+    return static_cast<int>(static_cast<std::uint32_t>(key));
+  };
   for (std::size_t round = 0; round < max_merges; ++round) {
-    // Count adjacent pairs.  An ordered map keyed by the pair's token texts
-    // makes tie-breaking deterministic and human-meaningful.
-    std::map<std::pair<std::string, std::string>, std::size_t> pair_counts;
-    std::map<std::pair<std::string, std::string>, std::pair<int, int>> ids;
-    for (const WordState& w : words) {
-      for (std::size_t i = 0; i + 1 < w.tokens.size(); ++i) {
-        const auto key = std::make_pair(vocab.text(w.tokens[i]),
-                                        vocab.text(w.tokens[i + 1]));
-        pair_counts[key] += w.count;
-        ids[key] = {w.tokens[i], w.tokens[i + 1]};
+    if (pair_counts.empty()) break;
+    // Highest count wins; ties go to the lexicographically smaller
+    // (left text, right text) pair.
+    auto best = pair_counts.begin();
+    for (auto it = std::next(best); it != pair_counts.end(); ++it) {
+      if (it->second != best->second) {
+        if (it->second > best->second) best = it;
+        continue;
+      }
+      const std::string& left = vocab.text(left_of(it->first));
+      const std::string& best_left = vocab.text(left_of(best->first));
+      const int order = left.compare(best_left);
+      if (order < 0 ||
+          (order == 0 && vocab.text(right_of(it->first)) <
+                             vocab.text(right_of(best->first)))) {
+        best = it;
       }
     }
-    if (pair_counts.empty()) break;
-
-    const auto best = std::max_element(
-        pair_counts.begin(), pair_counts.end(),
-        [](const auto& a, const auto& b) {
-          if (a.second != b.second) return a.second < b.second;
-          return a.first > b.first;  // lexicographically smaller pair wins
-        });
     if (best->second < min_frequency) break;
 
-    const auto [left, right] = ids[best->first];
-    const std::string merged_text = best->first.first + best->first.second;
-    // Skip if the merged text collides with an existing token (e.g. a
-    // special token); extremely unlikely for letter sequences but cheap to
-    // guard.
+    const int left = left_of(best->first);
+    const int right = right_of(best->first);
+    const std::string merged_text = vocab.text(left) + vocab.text(right);
+    // Stop training if the merged text collides with an existing token
+    // (e.g. a special token); extremely unlikely for letter sequences but
+    // cheap to guard.
     if (vocab.find(merged_text).has_value()) break;
     const int merged = vocab.add(merged_text);
 
@@ -78,11 +103,15 @@ void Bpe::train(const std::string& corpus, Vocab& vocab,
     rank_.emplace(pair_key(left, right), merges_.size());
     merges_.push_back(merge);
 
-    // Apply the merge to every word.
+    // Apply the merge to every word that contains the pair.
     for (WordState& w : words) {
       std::vector<int>& t = w.tokens;
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < t.size(); ++i) {
+      std::size_t i = 0;
+      while (i + 1 < t.size() && !(t[i] == left && t[i + 1] == right)) ++i;
+      if (i + 1 >= t.size()) continue;
+      remove_pairs(w);
+      std::size_t out = i;
+      for (; i < t.size(); ++i) {
         if (i + 1 < t.size() && t[i] == left && t[i + 1] == right) {
           t[out++] = merged;
           ++i;
@@ -91,6 +120,7 @@ void Bpe::train(const std::string& corpus, Vocab& vocab,
         }
       }
       t.resize(out);
+      add_pairs(w);
     }
   }
 }

@@ -243,10 +243,12 @@ TEST_F(InductionFixture, EosAfterCompletedValue) {
 
 /// Folds every logit bit pattern along 30 sweep-shaped prompts (random and
 /// minimal-edit curation, 1 to 100 examples), each generated to completion,
-/// into one hash.
+/// into one hash; `weight_hash` folds the digit prior's double weights
+/// after every call the same way.
 std::uint64_t logit_bit_hash(const tok::Tokenizer& tz,
                              const perf::Dataset& data, perf::SizeClass size,
-                             std::size_t& calls) {
+                             std::size_t& calls,
+                             std::uint64_t* weight_hash = nullptr) {
   InductionLm model(tz);
   const prompt::PromptBuilder builder(size);
   const std::size_t counts[] = {1, 5, 10, 25, 50, 100};
@@ -284,6 +286,13 @@ std::uint64_t logit_bit_hash(const tok::Tokenizer& tz,
         std::memcpy(&bits, &x, sizeof bits);
         h = util::hash_combine(h, bits);
       }
+      if (weight_hash != nullptr) {
+        for (const double w : model.number_weights_for_testing()) {
+          std::uint64_t bits;
+          std::memcpy(&bits, &w, sizeof bits);
+          *weight_hash = util::hash_combine(*weight_hash, bits);
+        }
+      }
       if (t < gen.tokens.size()) context.push_back(gen.tokens[t]);
     }
   }
@@ -296,22 +305,30 @@ std::uint64_t logit_bit_hash(const tok::Tokenizer& tz,
 // and a dense accumulator; both pins predate the per-call kernel memo of
 // the digit prior.  XL values carry more digit groups per value than SM
 // ones, so its prompts reach fraction positions the SM ones do not.
+//
+// The logits are float roundings of double weights, so the float pins miss
+// changes in the last ulps of a weight, such as the order in which shared
+// anchors add their kernels.  The weight pins hash the doubles themselves.
 TEST_F(InductionFixture, NextLogitsBitPatternsArePinned) {
   std::size_t calls = 0;
-  const std::uint64_t h =
-      logit_bit_hash(tokenizer(), data(), perf::SizeClass::SM, calls);
+  std::uint64_t weights = 0;
+  const std::uint64_t h = logit_bit_hash(tokenizer(), data(),
+                                         perf::SizeClass::SM, calls, &weights);
   EXPECT_GT(calls, 300u);
   EXPECT_EQ(h, 0x28de5227f0a2031bULL) << std::hex << "0x" << h;
+  EXPECT_EQ(weights, 0x9a78676fa4966070ULL) << std::hex << "0x" << weights;
 }
 
 TEST_F(InductionFixture, XlNextLogitsBitPatternsArePinned) {
   static const perf::Dataset xl =
       perf::Dataset::generate(perf::Syr2kModel{}, perf::SizeClass::XL, 42);
   std::size_t calls = 0;
+  std::uint64_t weights = 0;
   const std::uint64_t h =
-      logit_bit_hash(tokenizer(), xl, perf::SizeClass::XL, calls);
+      logit_bit_hash(tokenizer(), xl, perf::SizeClass::XL, calls, &weights);
   EXPECT_GT(calls, 300u);
   EXPECT_EQ(h, 0x9a152ffe9cbb8c97ULL) << std::hex << "0x" << h;
+  EXPECT_EQ(weights, 0x856d2f0b63fe5346ULL) << std::hex << "0x" << weights;
 }
 
 // Property sweep across in-context example counts: every count must yield

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "tok/bpe.hpp"
 #include "tok/pretokenize.hpp"
 #include "util/rng.hpp"
 
@@ -139,6 +149,135 @@ TEST(Tokenizer, SpecialsDecodeToNothing) {
   ids.insert(ids.end(), body.begin(), body.end());
   ids.push_back(kEos);
   EXPECT_EQ(tz.decode(ids), "hi");
+}
+
+// ---- BPE trainer vs the text-keyed recount it replaced -------------------
+
+/// The pre-incremental trainer, copied verbatim in substance: every round
+/// recounts all adjacent pairs in std::maps keyed by the pairs' token texts
+/// and takes the highest count, ties to the lexicographically smaller text
+/// pair.  Returns its merges as (left, right, result) ids.
+std::vector<std::tuple<int, int, int>> legacy_bpe_train(
+    const std::string& corpus, Vocab& vocab, std::size_t max_merges,
+    std::size_t min_frequency) {
+  std::unordered_map<std::string, std::size_t> word_counts;
+  for (const Piece& piece : pretokenize(corpus)) {
+    if (piece.kind == PieceKind::Word) ++word_counts[piece.text];
+  }
+  struct WordState {
+    std::vector<int> tokens;
+    std::size_t count;
+  };
+  std::vector<WordState> words;
+  for (const auto& [text, count] : word_counts) {
+    WordState w;
+    w.count = count;
+    for (const char c : text) {
+      w.tokens.push_back(vocab.byte_token(static_cast<unsigned char>(c)));
+    }
+    words.push_back(std::move(w));
+  }
+  std::sort(words.begin(), words.end(),
+            [](const WordState& a, const WordState& b) {
+              return a.tokens < b.tokens;
+            });
+  std::vector<std::tuple<int, int, int>> merges;
+  for (std::size_t round = 0; round < max_merges; ++round) {
+    std::map<std::pair<std::string, std::string>, std::size_t> pair_counts;
+    std::map<std::pair<std::string, std::string>, std::pair<int, int>> ids;
+    for (const WordState& w : words) {
+      for (std::size_t i = 0; i + 1 < w.tokens.size(); ++i) {
+        const auto key = std::make_pair(vocab.text(w.tokens[i]),
+                                        vocab.text(w.tokens[i + 1]));
+        pair_counts[key] += w.count;
+        ids[key] = {w.tokens[i], w.tokens[i + 1]};
+      }
+    }
+    if (pair_counts.empty()) break;
+    const auto best = std::max_element(
+        pair_counts.begin(), pair_counts.end(),
+        [](const auto& a, const auto& b) {
+          if (a.second != b.second) return a.second < b.second;
+          return a.first > b.first;
+        });
+    if (best->second < min_frequency) break;
+    const auto [left, right] = ids[best->first];
+    const std::string merged_text = best->first.first + best->first.second;
+    if (vocab.find(merged_text).has_value()) break;
+    const int merged = vocab.add(merged_text);
+    merges.emplace_back(left, right, merged);
+    for (WordState& w : words) {
+      std::vector<int>& t = w.tokens;
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        if (i + 1 < t.size() && t[i] == left && t[i + 1] == right) {
+          t[out++] = merged;
+          ++i;
+        } else {
+          t[out++] = t[i];
+        }
+      }
+      t.resize(out);
+    }
+  }
+  return merges;
+}
+
+void expect_same_training(const std::string& corpus, std::size_t max_merges,
+                          std::size_t min_frequency = 2) {
+  Vocab legacy_vocab, vocab;
+  const auto want =
+      legacy_bpe_train(corpus, legacy_vocab, max_merges, min_frequency);
+  Bpe bpe;
+  bpe.train(corpus, vocab, max_merges, min_frequency);
+  std::vector<std::tuple<int, int, int>> got;
+  for (const Merge& m : bpe.merges()) got.emplace_back(m.left, m.right, m.result);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(vocab.size(), legacy_vocab.size());
+  for (int id = 0; id < vocab.size(); ++id) {
+    EXPECT_EQ(vocab.text(id), legacy_vocab.text(id)) << "id " << id;
+  }
+}
+
+TEST(BpeTrain, MatchesTextKeyedRecountOnPipelineCorpora) {
+  for (const std::uint64_t seed : {42u, 1u, 7u, 23u, 1234u}) {
+    core::PipelineConfig config;
+    config.dataset_seed = seed;
+    SCOPED_TRACE(seed);
+    expect_same_training(core::Pipeline::bpe_corpus(config),
+                         config.bpe_merges);
+  }
+}
+
+TEST(BpeTrain, MatchesTextKeyedRecountOnTestCorpora) {
+  expect_same_training(
+      "Performance Performance Performance configuration configuration "
+      "tiling tiling factor factor packed packed packed", 50);
+  std::string repeated;
+  for (int i = 0; i < 10; ++i) repeated += "configuration ";
+  expect_same_training(repeated, 100);
+  expect_same_training("the quick brown fox jumps over the lazy dog "
+                       "the quick brown fox", 30);
+  expect_same_training("the quick brown fox", 30, /*min_frequency=*/1);
+}
+
+TEST(BpeTrain, MatchesTextKeyedRecountOnTieHeavyCorpus) {
+  // Every word occurs equally often and many pairs share a count, so
+  // nearly every round is decided by the text tie-break; overlapping runs
+  // ("aaaa") exercise the left-to-right merge of repeated pairs.
+  util::Rng rng(99);
+  std::string corpus;
+  for (int w = 0; w < 60; ++w) {
+    std::string word;
+    const auto len = rng.uniform_int(2, 7);
+    for (int c = 0; c < len; ++c) {
+      word += static_cast<char>('a' + rng.uniform_int(0, 3));
+    }
+    corpus += word + " " + word + " ";
+  }
+  corpus += "aaaa aaaa bbbbbb bbbbbb abab abab baba baba";
+  expect_same_training(corpus, 200);
+  expect_same_training(corpus, 200, /*min_frequency=*/1);
 }
 
 // Property sweep: encode/decode must round-trip arbitrary printable ASCII.
